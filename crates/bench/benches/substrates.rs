@@ -2,7 +2,9 @@
 //! construction, schedule validation and detector-error-model extraction.
 
 use asynd_circuit::{DetectorErrorModel, NoiseModel, Schedule};
+use asynd_codes::catalog::family_by_name;
 use asynd_codes::{bb_code_72_12_6, rotated_surface_code, steane_code};
+use asynd_core::{LowestDepthScheduler, Scheduler};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -34,6 +36,20 @@ fn bench_dem_construction(c: &mut Criterion) {
     for (name, code) in [("steane", steane_code()), ("surface-d5", rotated_surface_code(5))] {
         let schedule = Schedule::trivial(&code);
         let noise = NoiseModel::brisbane();
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(DetectorErrorModel::build(&code, &schedule, &noise).unwrap()))
+        });
+    }
+    // The search workloads' setting: lowest-depth schedules at p = 0.003.
+    let hexagonal = family_by_name("hexagonal-color").unwrap().swap_remove(2).code;
+    for (name, code) in [
+        ("surface-d5-lowest-depth", rotated_surface_code(5)),
+        ("surface-d7-lowest-depth", rotated_surface_code(7)),
+        ("hexagonal-color-2-lowest-depth", hexagonal),
+        ("bb-72-lowest-depth", bb_code_72_12_6()),
+    ] {
+        let schedule = LowestDepthScheduler::new().schedule(&code).unwrap();
+        let noise = NoiseModel::scaled(0.003);
         group.bench_function(name, |b| {
             b.iter(|| black_box(DetectorErrorModel::build(&code, &schedule, &noise).unwrap()))
         });

@@ -1,14 +1,12 @@
 //! Detector error models: the bridge between noisy scheduled circuits and
 //! decoders.
 
-use std::collections::HashMap;
-
 use asynd_codes::StabilizerCode;
 use asynd_pauli::Pauli;
 use serde::{Deserialize, Serialize};
 
-use crate::{propagate_fault, CircuitError, FaultSite, NoiseModel, RoundCircuit, Schedule};
-use asynd_pauli::SparsePauli;
+use crate::propagate::Sensitivities;
+use crate::{CircuitError, NoiseModel, RoundCircuit, Schedule};
 
 /// One independent error mechanism of a detector error model: with
 /// probability `probability` it flips the listed detectors and observables.
@@ -58,34 +56,44 @@ impl DetectorErrorModel {
 
     /// Builds the DEM of one noisy scheduled round of `code` under `noise`.
     ///
-    /// Every elementary fault — the 15 two-qubit Paulis after each check,
-    /// the 3 single-qubit Paulis on each idle location and the readout flip
-    /// of each ancilla — is propagated through the remainder of the round;
-    /// faults with identical detector/observable signatures are merged by
-    /// XOR-combining their probabilities. Faults with empty signatures are
-    /// dropped.
+    /// The elementary faults are the 15 two-qubit Paulis after each check
+    /// (in check-list order), the 3 single-qubit Paulis on each idle data
+    /// qubit and ancilla (tick by tick) and the readout flip of each
+    /// ancilla. One backward sensitivity sweep over the round gives every
+    /// fault location's effect on the detectors and observables at once;
+    /// each fault's signature is the XOR of at most four of its packed
+    /// rows. Faults with empty signatures are dropped. The rest are
+    /// stable-sorted by signature, so each run of equal signatures is
+    /// merged in enumeration order, from 0.0, by `e·(1−p) + p·(1−e)` (the
+    /// merged mechanism fires when an odd number of its faults fire). The
+    /// mechanisms are returned sorted by (detectors, observables).
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidParameter`] if the noise model is
-    /// invalid (see [`NoiseModel::validate`]).
+    /// invalid (see [`NoiseModel::validate`]), and the errors of
+    /// [`RoundCircuit::new`] for a check at tick 0 or with an out-of-range
+    /// stabilizer or data qubit. The schedule is not otherwise validated
+    /// (see [`Schedule::validate`]).
     pub fn build(
         code: &StabilizerCode,
         schedule: &Schedule,
         noise: &NoiseModel,
     ) -> Result<Self, CircuitError> {
         noise.validate()?;
-        let circuit = RoundCircuit::new(code, schedule);
-        let mut accumulator: HashMap<(Vec<usize>, Vec<usize>), f64> = HashMap::new();
+        let circuit = RoundCircuit::new(code, schedule)?;
+        let sweep = Sensitivities::sweep(&circuit);
+        let words = sweep.words();
+        let mut signatures: Vec<u64> = Vec::new();
+        let mut probabilities: Vec<f64> = Vec::new();
+        let mut signature = vec![0u64; words];
 
-        let mut add = |detectors: Vec<usize>, observables: Vec<usize>, probability: f64| {
-            if probability <= 0.0 || (detectors.is_empty() && observables.is_empty()) {
+        let mut add = |signature: &[u64], probability: f64| {
+            if probability <= 0.0 || signature.iter().all(|&w| w == 0) {
                 return;
             }
-            let entry = accumulator.entry((detectors, observables)).or_insert(0.0);
-            // Two independent mechanisms with the same signature combine into
-            // a single mechanism firing when exactly one of them fires.
-            *entry = *entry * (1.0 - probability) + probability * (1.0 - *entry);
+            signatures.extend_from_slice(signature);
+            probabilities.push(probability);
         };
 
         // Two-qubit depolarizing noise after every check.
@@ -99,18 +107,10 @@ impl DetectorErrorModel {
                         if pa == Pauli::I && pd == Pauli::I {
                             continue;
                         }
-                        let mut entries = Vec::new();
-                        if pd != Pauli::I {
-                            entries.push((check.data, pd));
-                        }
-                        if pa != Pauli::I {
-                            entries.push((ancilla, pa));
-                        }
-                        let effect = propagate_fault(
-                            &circuit,
-                            &FaultSite { tick: check.tick, error: SparsePauli::new(entries) },
-                        );
-                        add(effect.detectors, effect.observables, per_term);
+                        signature.fill(0);
+                        sweep.xor_into(&mut signature, check.tick, check.data, pd);
+                        sweep.xor_into(&mut signature, check.tick, ancilla, pa);
+                        add(&signature, per_term);
                     }
                 }
             }
@@ -123,11 +123,9 @@ impl DetectorErrorModel {
                     let p = noise.data_idle_probability(data);
                     if p > 0.0 {
                         for pauli in Pauli::ERRORS {
-                            let effect = propagate_fault(
-                                &circuit,
-                                &FaultSite { tick, error: SparsePauli::new(vec![(data, pauli)]) },
-                            );
-                            add(effect.detectors, effect.observables, p / 3.0);
+                            signature.fill(0);
+                            sweep.xor_into(&mut signature, tick, data, pauli);
+                            add(&signature, p / 3.0);
                         }
                     }
                 }
@@ -138,14 +136,9 @@ impl DetectorErrorModel {
                     if p > 0.0 {
                         let ancilla = circuit.ancilla_qubit(stab);
                         for pauli in Pauli::ERRORS {
-                            let effect = propagate_fault(
-                                &circuit,
-                                &FaultSite {
-                                    tick,
-                                    error: SparsePauli::new(vec![(ancilla, pauli)]),
-                                },
-                            );
-                            add(effect.detectors, effect.observables, p / 3.0);
+                            signature.fill(0);
+                            sweep.xor_into(&mut signature, tick, ancilla, pauli);
+                            add(&signature, p / 3.0);
                         }
                     }
                 }
@@ -155,16 +148,39 @@ impl DetectorErrorModel {
         // Readout flips: detector s and its round-2 comparison r + s.
         let r = circuit.num_stabilizers();
         for stab in 0..r {
-            let p = noise.measurement_probability(stab);
-            add(vec![stab, r + stab], Vec::new(), p);
+            signature.fill(0);
+            for bit in [stab, r + stab] {
+                signature[bit / 64] |= 1 << (bit % 64);
+            }
+            add(&signature, noise.measurement_probability(stab));
         }
 
-        let mut errors: Vec<DemError> = accumulator
-            .into_iter()
-            .map(|((detectors, observables), probability)| DemError {
-                probability,
-                detectors,
-                observables,
+        let signature_of = |fault: usize| &signatures[fault * words..(fault + 1) * words];
+        let mut order: Vec<usize> = (0..probabilities.len()).collect();
+        order.sort_by(|&a, &b| signature_of(a).cmp(signature_of(b)));
+        let mut errors: Vec<DemError> = order
+            .chunk_by(|&a, &b| signature_of(a) == signature_of(b))
+            .map(|run| {
+                // Two independent mechanisms with the same signature combine
+                // into one firing when exactly one of them fires.
+                let probability = run.iter().fold(0.0, |e, &fault| {
+                    let p = probabilities[fault];
+                    e * (1.0 - p) + p * (1.0 - e)
+                });
+                let (mut detectors, mut observables) = (Vec::new(), Vec::new());
+                for (w, &word) in signature_of(run[0]).iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let bit = 64 * w + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        if bit < 2 * r {
+                            detectors.push(bit);
+                        } else {
+                            observables.push(bit - 2 * r);
+                        }
+                    }
+                }
+                DemError { probability, detectors, observables }
             })
             .collect();
         errors.sort_by(|a, b| {

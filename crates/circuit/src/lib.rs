@@ -13,11 +13,15 @@
 //!   after every check, idling depolarizing noise on every idle qubit per
 //!   tick and ancilla readout flips, with optional per-qubit non-uniform
 //!   scaling (§5.1.2 and §5.7).
-//! * [`DetectorErrorModel`] — built by enumerating every elementary fault of
-//!   the noisy round, propagating it through the remaining Clifford circuit
-//!   and recording which detectors (round-1 readouts, round-1 ⊕ round-2
-//!   syndrome comparisons) and which logical observables it flips. This is
-//!   the same object stim hands to decoders.
+//! * [`DetectorErrorModel`] — every elementary fault of the noisy round
+//!   with the detectors (round-1 readouts, round-1 ⊕ round-2 syndrome
+//!   comparisons) and logical observables it flips. One backward,
+//!   bit-packed sensitivity sweep over the round's checks yields every
+//!   fault location's signature at once, as stim's error analyzer does;
+//!   faults with equal signatures merge in enumeration order, so the
+//!   probabilities are reproducible bit for bit. This is the same object
+//!   stim hands to decoders. [`propagate_fault`] is the forward,
+//!   one-fault-at-a-time view of the same propagation rules.
 //! * [`Sampler`] — Monte-Carlo sampling of shots from a DEM, backed by the
 //!   bit-packed `asynd-sim` batch sampler (64 shots per machine word).
 //! * [`estimate_logical_error`] — the paper's Fig. 10 evaluation circuit:

@@ -4,7 +4,7 @@
 use asynd_codes::StabilizerCode;
 use asynd_pauli::{Pauli, PauliString, SparsePauli};
 
-use crate::{Check, Schedule};
+use crate::{Check, CircuitError, Schedule};
 
 /// A single Pauli fault injected into the round.
 ///
@@ -57,27 +57,53 @@ pub struct RoundCircuit {
 }
 
 impl RoundCircuit {
-    /// Compiles a schedule against its code.
+    /// Compiles a schedule against its code: one pass buckets the checks
+    /// per tick and records each ancilla's activity window.
     ///
-    /// The schedule should already have been validated with
-    /// [`Schedule::validate`]; this constructor only organises it per tick.
-    pub fn new(code: &StabilizerCode, schedule: &Schedule) -> Self {
+    /// Only the indices are checked, not the schedule itself: run
+    /// [`Schedule::validate`] first to be sure the round measures the
+    /// code's stabilizers. Same-tick conflicts, for instance, are accepted
+    /// and executed in check-list order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CircuitError::ZeroTick`] for a check at tick 0 and
+    /// [`CircuitError::CheckMismatch`] for a check whose stabilizer or data
+    /// qubit is out of the code's range.
+    pub fn new(code: &StabilizerCode, schedule: &Schedule) -> Result<Self, CircuitError> {
+        let num_data = code.num_qubits();
+        let num_stabilizers = code.stabilizers().len();
         let depth = schedule.depth();
         let mut layers = vec![Vec::new(); depth];
+        let mut windows = vec![(0, 0); num_stabilizers];
         for check in schedule.checks() {
+            if check.tick == 0 {
+                return Err(CircuitError::ZeroTick);
+            }
+            if check.stabilizer >= num_stabilizers || check.data >= num_data {
+                return Err(CircuitError::CheckMismatch {
+                    stabilizer: check.stabilizer,
+                    data: check.data,
+                });
+            }
             layers[check.tick - 1].push(*check);
+            let (first, last) = &mut windows[check.stabilizer];
+            if *first == 0 || check.tick < *first {
+                *first = check.tick;
+            }
+            *last = (*last).max(check.tick);
         }
-        RoundCircuit {
-            num_data: code.num_qubits(),
-            num_stabilizers: code.stabilizers().len(),
+        Ok(RoundCircuit {
+            num_data,
+            num_stabilizers,
             num_logicals: code.num_logicals(),
             depth,
             layers,
-            windows: schedule.ancilla_windows(),
+            windows,
             stabilizers: code.stabilizers().to_vec(),
             logical_x: code.logical_x().to_vec(),
             logical_z: code.logical_z().to_vec(),
-        }
+        })
     }
 
     /// Number of data qubits.
@@ -126,7 +152,8 @@ impl RoundCircuit {
         &self.layers[tick - 1]
     }
 
-    /// The `(first, last)` activity window of each ancilla.
+    /// The `(first, last)` activity window of each ancilla: the first and
+    /// last tick at which it is checked, `(0, 0)` when it has no checks.
     pub fn ancilla_windows(&self) -> &[(usize, usize)] {
         &self.windows
     }
@@ -147,6 +174,117 @@ impl RoundCircuit {
     }
 }
 
+/// Every fault location's signature at once: for each tick `t` (0 means
+/// "before the round") and each qubit, the detectors and observables that
+/// an X and a Z error inserted after tick `t` flip.
+///
+/// Signatures are packed rows of `2r + 2k` bits, 64 per word: detector `d`
+/// is bit `d` and observable `o` is bit `2r + o`. Propagation through the
+/// round is linear over GF(2), so each signature bit is a linear function
+/// of the inserted error, and one backward pass over the checks (the
+/// transpose of the forward rules of [`propagate_fault`]) yields all of
+/// them, as stim's error analyzer does. The signature of any Pauli fault
+/// is the XOR of the rows of its X and Z components.
+pub(crate) struct Sensitivities {
+    words: usize,
+    /// Words of one tick's snapshot: an X row and a Z row per qubit.
+    tick_words: usize,
+    /// `rows[t * tick_words..]` is the snapshot after tick `t`, with the
+    /// X row of qubit `q` at word `2q · words` and its Z row right after.
+    rows: Vec<u64>,
+}
+
+impl Sensitivities {
+    /// Runs the backward sweep over `circuit`.
+    pub(crate) fn sweep(circuit: &RoundCircuit) -> Self {
+        let r = circuit.num_stabilizers;
+        let k = circuit.num_logicals;
+        let words = (2 * r + 2 * k).div_ceil(64);
+        let tick_words = 2 * circuit.num_qubits() * words;
+        let depth = circuit.depth;
+        let mut rows = vec![0u64; (depth + 1) * tick_words];
+
+        // End of round: the residual data error meets the ideal round-2
+        // syndrome and the logical readouts, and a Z on an ancilla flips its
+        // round-1 readout, which the round-2 comparison also sees.
+        let end = &mut rows[depth * tick_words..];
+        let mut set = |qubit: usize, z: bool, bit: usize| {
+            end[(2 * qubit + usize::from(z)) * words + bit / 64] |= 1 << (bit % 64);
+        };
+        let stabilizers = circuit.stabilizers.iter().zip(r..);
+        let logicals = circuit.logical_z.iter().chain(&circuit.logical_x).zip(2 * r..);
+        for (operator, bit) in stabilizers.chain(logicals) {
+            for &(q, p) in operator.entries() {
+                // X at q anticommutes with p iff p has a Z part, and vice versa.
+                if p.has_z() {
+                    set(q, false, bit);
+                }
+                if p.has_x() {
+                    set(q, true, bit);
+                }
+            }
+        }
+        for s in 0..r {
+            set(circuit.ancilla_qubit(s), true, s);
+            set(circuit.ancilla_qubit(s), true, r + s);
+        }
+
+        // Walk the checks backward. Forward, a controlled-σ check maps
+        // (data, ancilla) as data ^= σ·anc.x and anc.z ^= ⟨data, σ⟩; the
+        // sensitivities follow its transpose.
+        for tick in (1..=depth).rev() {
+            let (before, after) = rows.split_at_mut(tick * tick_words);
+            let slot = &mut before[(tick - 1) * tick_words..];
+            slot.copy_from_slice(&after[..tick_words]);
+            for check in circuit.layer(tick).iter().rev() {
+                let (has_x, has_z) = check.pauli.xz();
+                let data_x = 2 * check.data * words;
+                let data_z = data_x + words;
+                let anc_x = 2 * circuit.ancilla_qubit(check.stabilizer) * words;
+                let anc_z = anc_x + words;
+                for w in 0..words {
+                    let mut spread = 0;
+                    if has_x {
+                        spread ^= slot[data_x + w];
+                    }
+                    if has_z {
+                        spread ^= slot[data_z + w];
+                    }
+                    slot[anc_x + w] ^= spread;
+                    let readout = slot[anc_z + w];
+                    if has_z {
+                        slot[data_x + w] ^= readout;
+                    }
+                    if has_x {
+                        slot[data_z + w] ^= readout;
+                    }
+                }
+            }
+        }
+        Sensitivities { words, tick_words, rows }
+    }
+
+    /// Words per packed signature.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// XORs the signature of `pauli` on `qubit`, inserted after `tick`,
+    /// into `signature`.
+    pub(crate) fn xor_into(&self, signature: &mut [u64], tick: usize, qubit: usize, pauli: Pauli) {
+        let (has_x, has_z) = pauli.xz();
+        let x = tick * self.tick_words + 2 * qubit * self.words;
+        for (w, word) in signature.iter_mut().enumerate() {
+            if has_x {
+                *word ^= self.rows[x + w];
+            }
+            if has_z {
+                *word ^= self.rows[x + self.words + w];
+            }
+        }
+    }
+}
+
 /// Propagates a single Pauli fault through the rest of the round and reports
 /// which detectors and observables it flips.
 ///
@@ -164,7 +302,7 @@ impl RoundCircuit {
 ///
 /// let code = steane_code();
 /// let schedule = Schedule::trivial(&code);
-/// let circuit = RoundCircuit::new(&code, &schedule);
+/// let circuit = RoundCircuit::new(&code, &schedule).unwrap();
 /// // An X error on data qubit 0 before the round is caught by the round-1
 /// // readout of the Z-stabilizer containing qubit 0; the round-2 comparison
 /// // stays silent because the error is present in both rounds.
@@ -173,9 +311,7 @@ impl RoundCircuit {
 /// assert_eq!(effect.detectors.len(), 1);
 /// ```
 pub fn propagate_fault(circuit: &RoundCircuit, site: &FaultSite) -> FaultEffect {
-    let total = circuit.num_qubits();
-    let n = circuit.num_data();
-    let mut error = PauliString::identity(total);
+    let mut error = PauliString::identity(circuit.num_qubits());
     for &(q, p) in site.error.entries() {
         error.mul_assign_single(q, p);
     }
@@ -206,14 +342,18 @@ pub fn propagate_fault(circuit: &RoundCircuit, site: &FaultSite) -> FaultEffect 
         }
     }
 
-    // Residual data error at the end of the round.
-    let residual = error.truncated(n);
+    // The residual data error at the end of the round meets the operators
+    // below, which act on data qubits only.
+    let anticommutes = |operator: &SparsePauli| {
+        let overlaps =
+            operator.entries().iter().filter(|&&(q, p)| error.get(q).anticommutes_with(p));
+        overlaps.count() % 2 == 1
+    };
 
     // Round-2 detectors compare the (ideal) second-round syndrome with the
     // first-round readout.
     for (s, stab) in circuit.stabilizers.iter().enumerate() {
-        let syndrome = stab.to_dense(n).anticommutes_with(&residual);
-        if syndrome != measurement_flip[s] {
+        if anticommutes(stab) != measurement_flip[s] {
             detectors.push(r + s);
         }
     }
@@ -221,13 +361,13 @@ pub fn propagate_fault(circuit: &RoundCircuit, site: &FaultSite) -> FaultEffect 
     // Observable flips from the residual error.
     let mut observables = Vec::new();
     for (i, lz) in circuit.logical_z.iter().enumerate() {
-        if lz.to_dense(n).anticommutes_with(&residual) {
+        if anticommutes(lz) {
             observables.push(i);
         }
     }
     let k = circuit.num_logicals();
     for (i, lx) in circuit.logical_x.iter().enumerate() {
-        if lx.to_dense(n).anticommutes_with(&residual) {
+        if anticommutes(lx) {
             observables.push(k + i);
         }
     }
@@ -248,7 +388,7 @@ mod tests {
     fn pre_round_data_error_triggers_round_one_only() {
         let code = steane_code();
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         let effect = single(&circuit, 0, 0, Pauli::X);
         let z_stabs_containing_0: Vec<usize> = code
             .stabilizers()
@@ -268,7 +408,7 @@ mod tests {
     fn post_round_error_is_invisible_to_round_one() {
         let code = steane_code();
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         let depth = circuit.depth();
         // Error after the last tick: only the round-2 comparison can see it.
         let effect = single(&circuit, depth, 0, Pauli::X);
@@ -281,7 +421,7 @@ mod tests {
     fn measurement_basis_error_on_ancilla_flips_only_round_one() {
         let code = steane_code();
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         let depth = circuit.depth();
         // Z on an ancilla right before readout: flips the round-1 outcome but
         // leaves no residual data error, so the round-2 comparison also fires
@@ -295,7 +435,7 @@ mod tests {
     fn hook_error_spreads_to_later_data_qubits() {
         let code = rotated_surface_code(3);
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         // Pick a weight-4 stabilizer and inject an X error on its ancilla
         // after its second check: the X must spread the stabilizer's Pauli to
         // the remaining two data qubits.
@@ -335,7 +475,7 @@ mod tests {
         // no effect on detectors or observables.
         let code = rotated_surface_code(3);
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         let (stab_idx, _) =
             code.stabilizers().iter().enumerate().find(|(_, s)| s.weight() == 4).unwrap();
         let effect = single(&circuit, 0, circuit.ancilla_qubit(stab_idx), Pauli::X);
@@ -347,7 +487,7 @@ mod tests {
     fn logical_error_flips_observable() {
         let code = steane_code();
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         // Apply a full logical X operator before the round: no detector
         // fires, but the logical-Z observable flips.
         let logical = code.logical_x()[0].clone();
@@ -359,10 +499,48 @@ mod tests {
     }
 
     #[test]
+    fn ancilla_windows_track_activity() {
+        let code = steane_code();
+        let schedule = Schedule::trivial(&code);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
+        assert_eq!(circuit.ancilla_windows().len(), 6);
+        for (s, &(first, last)) in circuit.ancilla_windows().iter().enumerate() {
+            let ticks: Vec<usize> =
+                schedule.checks().iter().filter(|c| c.stabilizer == s).map(|c| c.tick).collect();
+            assert_eq!(first, *ticks.iter().min().unwrap());
+            assert_eq!(last, *ticks.iter().max().unwrap());
+        }
+    }
+
+    #[test]
+    fn sensitivities_match_forward_propagation() {
+        let code = rotated_surface_code(3);
+        let schedule = Schedule::trivial(&code);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
+        let sweep = Sensitivities::sweep(&circuit);
+        let r = circuit.num_stabilizers();
+        for tick in 0..=circuit.depth() {
+            for qubit in 0..circuit.num_qubits() {
+                for pauli in Pauli::ERRORS {
+                    let mut signature = vec![0u64; sweep.words()];
+                    sweep.xor_into(&mut signature, tick, qubit, pauli);
+                    let effect = single(&circuit, tick, qubit, pauli);
+                    let mut expected = vec![0u64; sweep.words()];
+                    let observables = effect.observables.iter().map(|o| o + 2 * r);
+                    for bit in effect.detectors.iter().copied().chain(observables) {
+                        expected[bit / 64] |= 1 << (bit % 64);
+                    }
+                    assert_eq!(signature, expected, "tick {tick}, qubit {qubit}, {pauli:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn idle_tracking() {
         let code = steane_code();
         let schedule = Schedule::trivial(&code);
-        let circuit = RoundCircuit::new(&code, &schedule);
+        let circuit = RoundCircuit::new(&code, &schedule).unwrap();
         let check = schedule.checks()[0];
         assert!(!circuit.is_data_idle(check.data, check.tick));
         assert!(!circuit.is_ancilla_idle(check.stabilizer, check.tick));

@@ -200,23 +200,6 @@ impl Schedule {
         self.checks.iter().find(|c| c.stabilizer == stabilizer && c.data == data).map(|c| c.tick)
     }
 
-    /// First and last tick at which each stabilizer's ancilla is active.
-    ///
-    /// Returns `(first, last)` per stabilizer; stabilizers with no checks get
-    /// `(0, 0)`.
-    pub fn ancilla_windows(&self) -> Vec<(usize, usize)> {
-        let mut windows = vec![(usize::MAX, 0usize); self.num_stabilizers];
-        for c in &self.checks {
-            let w = &mut windows[c.stabilizer];
-            w.0 = w.0.min(c.tick);
-            w.1 = w.1.max(c.tick);
-        }
-        windows
-            .into_iter()
-            .map(|(first, last)| if first == usize::MAX { (0, 0) } else { (first, last) })
-            .collect()
-    }
-
     /// Checks the schedule against its code.
     ///
     /// Verifies that ticks are positive, that every stabilizer's support is
@@ -474,18 +457,6 @@ mod tests {
             schedule.validate(&code),
             Err(CircuitError::CrossingParityViolated { .. })
         ));
-    }
-
-    #[test]
-    fn ancilla_windows_track_activity() {
-        let code = steane_code();
-        let schedule = Schedule::trivial(&code);
-        let windows = schedule.ancilla_windows();
-        assert_eq!(windows.len(), 6);
-        for (first, last) in windows {
-            assert!(first >= 1);
-            assert!(last >= first);
-        }
     }
 
     #[test]

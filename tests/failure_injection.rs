@@ -67,6 +67,25 @@ fn dem_construction_rejects_invalid_noise() {
 }
 
 #[test]
+fn dem_construction_rejects_out_of_range_checks() {
+    // `build` does not run `Schedule::validate`, but it must still refuse
+    // checks it cannot index instead of panicking.
+    let code = steane_code();
+    let noise = NoiseModel::brisbane();
+    let malformed = |edit: fn(&mut Check)| {
+        let mut checks: Vec<Check> = Schedule::trivial(&code).checks().to_vec();
+        edit(&mut checks[5]);
+        DetectorErrorModel::build(&code, &Schedule::new(7, 6, checks), &noise)
+    };
+    assert_eq!(malformed(|c| c.tick = 0), Err(CircuitError::ZeroTick));
+    assert!(matches!(
+        malformed(|c| c.stabilizer = 6),
+        Err(CircuitError::CheckMismatch { stabilizer: 6, .. })
+    ));
+    assert!(matches!(malformed(|c| c.data = 7), Err(CircuitError::CheckMismatch { data: 7, .. })));
+}
+
+#[test]
 fn google_schedule_needs_a_layout() {
     // The Steane code has no planar layout, so the geometric scheduler must
     // refuse rather than guess.
