@@ -5,11 +5,11 @@
 //! converted to a [`FrameErrorModel`](asynd_sim::FrameErrorModel), shots
 //! are sampled 64-per-word by the bit-packed
 //! [`BatchSampler`](asynd_sim::BatchSampler), decoded through
-//! [`BatchDecoder`](asynd_sim::BatchDecoder), and scored with word-parallel
-//! reductions, streamed in bounded-memory chunks across worker threads by
-//! the [`ParallelEstimator`](asynd_sim::ParallelEstimator). The historical
-//! one-shot-at-a-time loop survives as [`estimate_logical_error_scalar`]
-//! for statistical cross-checks and benchmarking.
+//! [`BatchDecoder`], and scored with word-parallel reductions, streamed in
+//! bounded-memory chunks across worker threads by the
+//! [`ParallelEstimator`]. The historical one-shot-at-a-time loop survives
+//! as [`estimate_logical_error_scalar`] for statistical cross-checks and
+//! benchmarking.
 
 use asynd_codes::StabilizerCode;
 use asynd_pauli::BitVec;

@@ -2,11 +2,11 @@
 //! model.
 //!
 //! Since the `asynd-sim` batch pipeline landed, the packed
-//! [`BatchSampler`](asynd_sim::BatchSampler) is the primary sampling
-//! engine; [`Sampler::sample`] and [`Sampler::sample_one`] are thin
-//! compatibility wrappers that sample packed word-columns and unpack them
-//! into [`Shot`]s. The historical scalar path survives as
-//! [`Sampler::sample_scalar`] for cross-checks and benchmarks.
+//! [`BatchSampler`] is the primary sampling engine; [`Sampler::sample`]
+//! and [`Sampler::sample_one`] are thin compatibility wrappers that sample
+//! packed word-columns and unpack them into [`Shot`]s. The historical
+//! scalar path survives as [`Sampler::sample_scalar`] for cross-checks and
+//! benchmarks.
 //!
 //! # Seeding policy
 //!
@@ -40,8 +40,7 @@ pub struct Shot {
 /// Every error mechanism fires independently with its probability; the shot
 /// is the XOR of the signatures of the mechanisms that fired — exactly the
 /// sampling semantics of stim's `DetectorErrorModel` sampler. Internally
-/// the shots are drawn 64 at a time by the bit-packed
-/// [`BatchSampler`](asynd_sim::BatchSampler).
+/// the shots are drawn 64 at a time by the bit-packed [`BatchSampler`].
 ///
 /// # Example
 ///

@@ -1,41 +1,40 @@
 //! Word-parallel batch decoding: every decoder in this crate implements
-//! [`asynd_sim::BatchDecoder`] with a genuinely batched `decode_batch`, so
-//! it plugs directly into the bit-packed evaluation pipeline
-//! (`BatchSampler` → `decode_batch` → word-parallel scoring in the
-//! `ParallelEstimator`) *and* exploits the packed layout instead of
-//! unpacking one shot at a time.
+//! [`asynd_sim::BatchDecoder`] with a `decode_batch` that reads the
+//! bit-packed evaluation pipeline's layout (`BatchSampler` →
+//! `decode_batch` → word-parallel scoring in the `ParallelEstimator`)
+//! instead of unpacking one shot at a time.
 //!
-//! # Which decoder takes which path
+//! # Which shot takes which path
 //!
-//! Every batch starts in the shared word-parallel engine
-//! ([`word_parallel_batch`]), which classifies all 64 shots of each word
-//! with three word ops per detector row:
+//! Every batch goes through one engine ([`word_parallel_batch`]), which
+//! classifies all 64 shots of each word with three word ops per detector
+//! row:
 //!
 //! 1. **Zero-defect shots** cost nothing: the prediction matrix starts
 //!    zeroed and every decoder maps the empty syndrome to the empty
-//!    prediction (a [`ResidualDecoder`] contract).
+//!    prediction.
 //! 2. **Single-defect shots** are served from a per-call lookup table: the
 //!    scalar decoder runs once per *distinct* firing detector (the one-hot
 //!    syndrome is bit-identical to the shot's syndrome), and the cached
 //!    prediction is XOR-accumulated into up to 64 shots per word op.
-//! 3. **Multi-defect ("hard") shots** fall back to the decoder-specific
-//!    *residual* path below. The shot-major matrix is transposed once with
-//!    the blocked [`BitMatrix::transpose`] kernel, so each hard shot's
-//!    syndrome is a zero-copy word slice, not a bit gather.
+//! 3. **Multi-defect ("hard") shots** are decoded one at a time by the
+//!    decoder's own scalar [`ObservableDecoder::decode`]. The shot-major
+//!    matrix is transposed once with the blocked [`BitMatrix::transpose`]
+//!    kernel, so each hard shot's syndrome is one word-slice copy, not a
+//!    bit gather.
 //!
-//! Residual paths:
+//! What a hard shot costs, per decoder:
 //!
-//! | Decoder | Residual path | Scalar fallback triggers |
-//! |---|---|---|
-//! | [`MwpmDecoder`] | scalar loop over hard shots | every multi-defect shot (matching is inherently per-shot) |
-//! | [`UnionFindDecoder`] | scalar loop over hard shots | every multi-defect shot (cluster growth is per-shot; the word win comes from the in-register kernel refinement inside `solve_cluster`) |
-//! | [`BpOsdDecoder`] | lane-batched BP message pass: 64 shots per message word (see `bposd.rs`) | OSD post-processing of the shots whose BP did not converge |
-//! | [`CachedDecoder<D>`] | cache-hit scan, then the inner decoder's residual path on distinct misses | cache misses only |
+//! | Decoder | Hard-shot `decode` |
+//! |---|---|
+//! | [`MwpmDecoder`] | one matching per shot |
+//! | [`UnionFindDecoder`] | one cluster growth per shot (the word win is the in-register kernel refinement inside `solve_cluster`) |
+//! | [`BpOsdDecoder`] | scalar min-sum BP, then OSD for the shots whose BP did not converge (a 64-lane BP pass over the hard shots measured 1.2–1.4× slower than this loop; EXPERIMENTS.md) |
+//! | [`CachedDecoder<D>`] | the memo cache: a hit is served, a miss is decoded by `D` and inserted, so a syndrome repeated within a batch is decoded once |
 //!
-//! The scalar [`ObservableDecoder::decode`] entry points are untouched and
-//! serve as the cross-check oracle: `decode_batch` is bit-identical to
-//! decoding each `shot_detectors(s)` column in a loop (asserted by the
-//! tests here and fuzzed in `tests/batch_scalar_equivalence.rs`).
+//! `decode_batch` is therefore bit-identical to decoding each
+//! `shot_detectors(s)` column in a loop, which the tests here assert and
+//! `tests/batch_scalar_equivalence.rs` fuzzes.
 
 use asynd_circuit::ObservableDecoder;
 use asynd_pauli::BitVec;
@@ -43,50 +42,10 @@ use asynd_sim::{BatchDecoder, BatchShots, BitMatrix, WORD_BITS};
 
 use crate::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};
 
-/// The residual (hard-shot) half of the word-parallel batch contract.
-///
-/// Implementors must uphold two invariants the batch engine relies on:
-/// the all-zero syndrome decodes to the all-zero prediction, and
-/// [`decode_residual`](Self::decode_residual) writes exactly what the
-/// scalar [`ObservableDecoder::decode`] would produce for each listed
-/// shot (the default implementation *is* that scalar loop; overrides —
-/// like BP-OSD's lane-batched message pass — must preserve bit-identity).
-pub trait ResidualDecoder: ObservableDecoder {
-    /// Decodes the hard shots `shot_indices` of a transposed
-    /// (shot-major-rows) detector matrix into `predictions` columns.
-    ///
-    /// `transposed` has one row per shot and one bit-column per detector,
-    /// so `transposed.row_words(s)` is the packed syndrome of shot `s` —
-    /// the same word layout a detector-length [`BitVec`] uses.
-    fn decode_residual(
-        &self,
-        transposed: &BitMatrix,
-        shot_indices: &[usize],
-        predictions: &mut BitMatrix,
-    ) {
-        for &s in shot_indices {
-            let syndrome = BitVec::from_words(transposed.row_words(s).to_vec(), transposed.cols());
-            let prediction = self.decode(&syndrome);
-            for o in prediction.ones() {
-                predictions.set(o, s, true);
-            }
-        }
-    }
-}
-
-impl ResidualDecoder for MwpmDecoder {}
-impl ResidualDecoder for UnionFindDecoder {}
-// BpOsdDecoder's lane-batched override lives in `bposd.rs`.
-
 /// The shared word-parallel engine: pre-screens every shot word, serves
-/// zero- and single-defect shots in bulk, and hands the residual hard
-/// shots (as indices into a lazily transposed detector matrix) to
-/// `residual`.
-fn word_parallel_batch<D>(
-    decoder: &D,
-    shots: &BatchShots,
-    residual: impl FnOnce(&BitMatrix, &[usize], &mut BitMatrix),
-) -> BitMatrix
+/// zero- and single-defect shots in bulk, and decodes each remaining hard
+/// shot with `decoder.decode`.
+fn word_parallel_batch<D>(decoder: &D, shots: &BatchShots) -> BitMatrix
 where
     D: ObservableDecoder + ?Sized,
 {
@@ -138,10 +97,15 @@ where
         }
     }
     if !hard_shots.is_empty() {
-        // One blocked transpose buys zero-copy syndrome words for every
-        // hard shot; zero-/single-defect shots never pay for it.
+        // One blocked transpose makes every hard shot's syndrome one
+        // contiguous word slice; zero-/single-defect shots never pay for it.
         let transposed = detectors.transpose();
-        residual(&transposed, &hard_shots, &mut predictions);
+        for s in hard_shots {
+            let syndrome = BitVec::from_words(transposed.row_words(s).to_vec(), num_detectors);
+            for o in decoder.decode(&syndrome).ones() {
+                predictions.set(o, s, true);
+            }
+        }
     }
     predictions
 }
@@ -154,9 +118,7 @@ macro_rules! impl_word_parallel_batch {
             }
 
             fn decode_batch(&self, shots: &BatchShots) -> BitMatrix {
-                word_parallel_batch(self, shots, |transposed, hard, predictions| {
-                    self.decode_residual(transposed, hard, predictions);
-                })
+                word_parallel_batch(self, shots)
             }
         }
     )*};
@@ -164,50 +126,13 @@ macro_rules! impl_word_parallel_batch {
 
 impl_word_parallel_batch!(MwpmDecoder, UnionFindDecoder, BpOsdDecoder);
 
-impl<D: ResidualDecoder> BatchDecoder for CachedDecoder<D> {
+impl<D: ObservableDecoder> BatchDecoder for CachedDecoder<D> {
     fn decode_shot(&self, detectors: &BitVec) -> BitVec {
         ObservableDecoder::decode(self, detectors)
     }
 
     fn decode_batch(&self, shots: &BatchShots) -> BitMatrix {
-        word_parallel_batch(self, shots, |transposed, hard, predictions| {
-            // Serve repeats from the memo cache, decode each distinct miss
-            // once, and backfill both the duplicate shots and the cache.
-            // Keys match the scalar path exactly: a transposed shot row
-            // has the same packed words as `BitVec::words()`.
-            let mut misses: Vec<usize> = Vec::new();
-            let mut duplicate_of: Vec<(usize, usize)> = Vec::new();
-            {
-                let cache = self.cache.lock().expect("decoder cache poisoned");
-                let mut pending: std::collections::HashMap<&[u64], usize> =
-                    std::collections::HashMap::new();
-                for &s in hard {
-                    let key = transposed.row_words(s);
-                    if let Some(hit) = cache.get(key) {
-                        for o in hit.ones() {
-                            predictions.set(o, s, true);
-                        }
-                    } else if let Some(&first) = pending.get(key) {
-                        duplicate_of.push((s, first));
-                    } else {
-                        pending.insert(key, s);
-                        misses.push(s);
-                    }
-                }
-            }
-            if !misses.is_empty() {
-                self.inner.decode_residual(transposed, &misses, predictions);
-                let mut cache = self.cache.lock().expect("decoder cache poisoned");
-                for &s in &misses {
-                    cache.insert(transposed.row_words(s).to_vec(), predictions.column(s));
-                }
-            }
-            for (s, first) in duplicate_of {
-                for o in predictions.column(first).ones() {
-                    predictions.set(o, s, true);
-                }
-            }
-        })
+        word_parallel_batch(self, shots)
     }
 }
 

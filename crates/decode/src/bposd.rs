@@ -33,6 +33,12 @@ use crate::common::{CachedDecoder, DecodeMatrix};
 /// ```
 pub struct BpOsdDecoder {
     matrix: DecodeMatrix,
+    /// Prior LLR of every mechanism, computed once: every hard shot
+    /// starts BP from them.
+    priors: Vec<f64>,
+    /// The mechanism of every Tanner-graph edge, in (detector,
+    /// position-in-row) order: BP messages are indexed by edge.
+    edges: Vec<usize>,
     max_iterations: usize,
     osd_order: usize,
     /// Normalisation factor of the min-sum update.
@@ -47,7 +53,10 @@ impl BpOsdDecoder {
     /// Panics if the DEM has more than 64 observables.
     pub fn new(dem: &DetectorErrorModel, max_iterations: usize, osd_order: usize) -> Self {
         let matrix = DecodeMatrix::new(dem).expect("observable count exceeds decoder support");
-        BpOsdDecoder { matrix, max_iterations, osd_order, scale: 0.75 }
+        let priors = (0..matrix.num_errors()).map(|j| matrix.prior_llr(j)).collect();
+        let edges =
+            (0..matrix.num_detectors()).flat_map(|d| matrix.row(d).iter().copied()).collect();
+        BpOsdDecoder { matrix, priors, edges, max_iterations, osd_order, scale: 0.75 }
     }
 
     /// Runs min-sum BP; returns the per-mechanism posterior LLRs and the
@@ -55,39 +64,33 @@ impl BpOsdDecoder {
     fn belief_propagation(&self, syndrome: &BitVec) -> (Vec<f64>, Option<Vec<usize>>) {
         let m = &self.matrix;
         let num_errors = m.num_errors();
-        let priors: Vec<f64> = (0..num_errors).map(|j| m.prior_llr(j)).collect();
+        let (priors, edges) = (&self.priors, &self.edges);
         if num_errors == 0 {
-            return (priors, Some(Vec::new()));
+            return (priors.clone(), Some(Vec::new()));
         }
-        // Messages indexed by (detector, position-in-row).
-        let mut var_to_check: Vec<Vec<f64>> =
-            (0..m.num_detectors()).map(|d| m.row(d).iter().map(|&j| priors[j]).collect()).collect();
-        let mut check_to_var: Vec<Vec<f64>> =
-            (0..m.num_detectors()).map(|d| vec![0.0; m.row(d).len()]).collect();
+        let mut var_to_check: Vec<f64> = edges.iter().map(|&j| priors[j]).collect();
+        let mut check_to_var = vec![0.0; edges.len()];
         let mut posteriors = priors.clone();
 
         for _ in 0..self.max_iterations {
-            // Check update (normalized min-sum).
-            for (d, outgoing) in check_to_var.iter_mut().enumerate() {
-                let parity = u64::from(syndrome.get(d));
-                min_sum_check::<1>(&var_to_check[d], outgoing, parity, &[0], self.scale);
+            // Check update (normalized min-sum), one detector row at a time.
+            let mut start = 0;
+            for d in 0..m.num_detectors() {
+                let end = start + m.row(d).len();
+                let outgoing = &mut check_to_var[start..end];
+                min_sum_check(&var_to_check[start..end], outgoing, syndrome.get(d), self.scale);
+                start = end;
             }
             // Variable update and posteriors.
-            for p in posteriors.iter_mut() {
-                *p = 0.0;
+            posteriors.fill(0.0);
+            for (&j, &msg) in edges.iter().zip(&check_to_var) {
+                posteriors[j] += msg;
             }
-            for (d, outgoing) in check_to_var.iter().enumerate() {
-                for (&j, &msg) in m.row(d).iter().zip(outgoing) {
-                    posteriors[j] += msg;
-                }
+            for (p, &prior) in posteriors.iter_mut().zip(priors) {
+                *p += prior;
             }
-            for (j, p) in posteriors.iter_mut().enumerate() {
-                *p += priors[j];
-            }
-            for d in 0..m.num_detectors() {
-                for (i, &j) in m.row(d).iter().enumerate() {
-                    var_to_check[d][i] = posteriors[j] - check_to_var[d][i];
-                }
+            for ((v2c, &c2v), &j) in var_to_check.iter_mut().zip(&check_to_var).zip(edges) {
+                *v2c = posteriors[j] - c2v;
             }
             // Hard decision.
             let decision: Vec<usize> = (0..num_errors).filter(|&j| posteriors[j] < 0.0).collect();
@@ -190,66 +193,45 @@ impl BpOsdDecoder {
     }
 }
 
-/// Normalized min-sum check-node update of one Tanner-graph row, for up to
-/// `LANES` shots at once.
+/// Normalized min-sum check-node update of one Tanner-graph row.
 ///
-/// `incoming[i * LANES + l]` is lane `l`'s variable-to-check message on the
-/// row's edge `i`, and the check-to-variable message goes to the same slot
-/// of `outgoing`. Bit `l` of `syndrome` is the check's syndrome bit in lane
-/// `l`. Only the lanes listed in `live` are read or written.
+/// `incoming[i]` is the variable-to-check message on the row's edge `i`,
+/// and the check-to-variable message goes to `outgoing[i]`. `syndrome` is
+/// the check's syndrome bit.
 ///
 /// Each edge is sent the smallest |message| over the row's *other* edges,
 /// scaled (0 when that minimum is infinite, as in a one-edge row), negated
 /// when the syndrome bit XOR the parity of their `msg < 0.0` count is set.
-/// One pass per lane keeps the smallest and second-smallest magnitude, the
-/// first argmin and the sign parity of the whole row; a second pass writes
-/// `min2` at the argmin and `min1` elsewhere, taking the edge's own sign
-/// back out of the parity. This is O(row), and bit-identical to rescanning
-/// the other edges for each edge: the minimum of non-negative floats does
-/// not depend on the scan order, the same `<` predicate skips NaN, and sign
-/// flips are exact.
-fn min_sum_check<const LANES: usize>(
-    incoming: &[f64],
-    outgoing: &mut [f64],
-    syndrome: u64,
-    live: &[usize],
-    scale: f64,
-) {
-    let row_len = incoming.len() / LANES;
-    let mut min1 = [f64::INFINITY; LANES];
-    let mut min2 = [f64::INFINITY; LANES];
-    let mut argmin = [0usize; LANES];
-    let mut parity = syndrome; // bit set ⇒ negative
-    for i in 0..row_len {
-        let msgs = &incoming[i * LANES..(i + 1) * LANES];
-        for &l in live {
-            let msg = msgs[l];
-            if msg < 0.0 {
-                parity ^= 1 << l;
-            }
-            let a = msg.abs();
-            if a < min1[l] {
-                min2[l] = min1[l];
-                min1[l] = a;
-                argmin[l] = i;
-            } else if a < min2[l] {
-                min2[l] = a;
-            }
+/// One pass keeps the smallest and second-smallest magnitude, the first
+/// argmin and the sign parity of the whole row; a second pass writes `min2`
+/// at the argmin and `min1` elsewhere, taking the edge's own sign back out
+/// of the parity. This is O(row), and bit-identical to rescanning the other
+/// edges for each edge: the minimum of non-negative floats does not depend
+/// on the scan order, the same `<` predicate skips NaN, and sign flips are
+/// exact.
+fn min_sum_check(incoming: &[f64], outgoing: &mut [f64], syndrome: bool, scale: f64) {
+    let mut min1 = f64::INFINITY;
+    let mut min2 = f64::INFINITY;
+    let mut argmin = 0usize;
+    let mut parity = syndrome; // set ⇒ negative
+    for (i, &msg) in incoming.iter().enumerate() {
+        if msg < 0.0 {
+            parity = !parity;
+        }
+        let a = msg.abs();
+        if a < min1 {
+            min2 = min1;
+            min1 = a;
+            argmin = i;
+        } else if a < min2 {
+            min2 = a;
         }
     }
     let scaled = |v: f64| if v.is_infinite() { 0.0 } else { v * scale };
-    for &l in live {
-        min1[l] = scaled(min1[l]);
-        min2[l] = scaled(min2[l]);
-    }
-    for i in 0..row_len {
-        let msgs = &incoming[i * LANES..(i + 1) * LANES];
-        let out = &mut outgoing[i * LANES..(i + 1) * LANES];
-        for &l in live {
-            let v = if argmin[l] == i { min2[l] } else { min1[l] };
-            let negative = ((parity >> l) & 1 == 1) != (msgs[l] < 0.0);
-            out[l] = if negative { -v } else { v };
-        }
+    let (min1, min2) = (scaled(min1), scaled(min2));
+    for (i, (&msg, out)) in incoming.iter().zip(outgoing).enumerate() {
+        let v = if i == argmin { min2 } else { min1 };
+        *out = if parity != (msg < 0.0) { -v } else { v };
     }
 }
 
@@ -265,192 +247,6 @@ impl ObservableDecoder for BpOsdDecoder {
         };
         let mask = self.matrix.observables_of(&errors);
         self.matrix.mask_to_bitvec(mask)
-    }
-}
-
-impl crate::batch::ResidualDecoder for BpOsdDecoder {
-    /// Lane-batched min-sum BP: up to 64 hard shots run as SIMD-style
-    /// lanes, so every edge of the Tanner graph is traversed once per
-    /// iteration for the whole lane group instead of once per shot.
-    ///
-    /// Per lane, the floating-point operation sequence is identical to
-    /// the scalar `belief_propagation` pass (same message order, same
-    /// posterior accumulation order), so results are bit-identical to that
-    /// path. A lane that converges is recorded immediately — exactly where
-    /// the scalar loop would have returned — and later iterations never
-    /// overwrite it. Lanes that exhaust the iteration budget fall back to
-    /// the scalar OSD stage with their lane-extracted posteriors.
-    fn decode_residual(
-        &self,
-        transposed: &asynd_sim::BitMatrix,
-        shot_indices: &[usize],
-        predictions: &mut asynd_sim::BitMatrix,
-    ) {
-        const LANES: usize = 64;
-        let m = &self.matrix;
-        let num_errors = m.num_errors();
-        let num_detectors = m.num_detectors();
-        if num_errors == 0 {
-            // The scalar path converges immediately to the empty error
-            // set; the prediction rows stay zero.
-            return;
-        }
-        let priors: Vec<f64> = (0..num_errors).map(|j| m.prior_llr(j)).collect();
-        let record = |predictions: &mut asynd_sim::BitMatrix, shot: usize, obs_mask: u64| {
-            for o in 0..m.num_observables() {
-                if (obs_mask >> o) & 1 == 1 {
-                    predictions.set(o, shot, true);
-                }
-            }
-        };
-        for group in shot_indices.chunks(LANES) {
-            let lane_all: u64 =
-                if group.len() == LANES { u64::MAX } else { (1u64 << group.len()) - 1 };
-            // Per-detector lane mask of the group's syndromes: bit `l` of
-            // `det_mask[d]` is detector d of lane l's shot.
-            let mut det_mask = vec![0u64; num_detectors];
-            for (lane, &s) in group.iter().enumerate() {
-                let words = transposed.row_words(s);
-                for d in 0..num_detectors {
-                    if (words[d / 64] >> (d % 64)) & 1 == 1 {
-                        det_mask[d] |= 1 << lane;
-                    }
-                }
-            }
-            // Messages indexed by (detector, position-in-row, lane).
-            let mut var_to_check: Vec<Vec<f64>> = (0..num_detectors)
-                .map(|d| {
-                    let row = m.row(d);
-                    let mut v = vec![0.0; row.len() * LANES];
-                    for (i, &j) in row.iter().enumerate() {
-                        v[i * LANES..(i + 1) * LANES].fill(priors[j]);
-                    }
-                    v
-                })
-                .collect();
-            let mut check_to_var: Vec<Vec<f64>> =
-                (0..num_detectors).map(|d| vec![0.0; m.row(d).len() * LANES]).collect();
-            let mut posteriors = vec![0.0f64; num_errors * LANES];
-            for (j, &p) in priors.iter().enumerate() {
-                posteriors[j * LANES..(j + 1) * LANES].fill(p);
-            }
-            let mut decided = vec![0u64; num_errors];
-            let mut active = lane_all;
-            // Lanes still iterating. Frozen (converged) lanes are skipped
-            // by every floating-point loop below: their result is already
-            // recorded, so their messages are dead values — skipping them
-            // keeps the per-iteration cost proportional to the unconverged
-            // shots instead of the group width.
-            // Not dense 64-lane loops: at 24–42% live (colour d3/d5) those ran 1.5–2.5× slower.
-            let mut live: Vec<usize> = (0..group.len()).collect();
-
-            for _ in 0..self.max_iterations {
-                // Check update (normalized min-sum), all live lanes per
-                // check row.
-                for (d, outgoing) in check_to_var.iter_mut().enumerate() {
-                    min_sum_check::<LANES>(
-                        &var_to_check[d],
-                        outgoing,
-                        det_mask[d],
-                        &live,
-                        self.scale,
-                    );
-                }
-                // Variable update and posteriors (same accumulation order
-                // as the scalar pass: zero, add messages by ascending
-                // (detector, position), then add priors).
-                for j in 0..num_errors {
-                    let post = &mut posteriors[j * LANES..(j + 1) * LANES];
-                    for &l in &live {
-                        post[l] = 0.0;
-                    }
-                }
-                for (d, c2v_row) in check_to_var.iter().enumerate() {
-                    for (i, &j) in m.row(d).iter().enumerate() {
-                        let msgs = &c2v_row[i * LANES..(i + 1) * LANES];
-                        let post = &mut posteriors[j * LANES..(j + 1) * LANES];
-                        for &l in &live {
-                            post[l] += msgs[l];
-                        }
-                    }
-                }
-                for (j, &p) in priors.iter().enumerate() {
-                    let post = &mut posteriors[j * LANES..(j + 1) * LANES];
-                    for &l in &live {
-                        post[l] += p;
-                    }
-                }
-                for d in 0..num_detectors {
-                    for (i, &j) in m.row(d).iter().enumerate() {
-                        let post = &posteriors[j * LANES..(j + 1) * LANES];
-                        let c2v = &check_to_var[d][i * LANES..(i + 1) * LANES];
-                        let v2c = &mut var_to_check[d][i * LANES..(i + 1) * LANES];
-                        for &l in &live {
-                            v2c[l] = post[l] - c2v[l];
-                        }
-                    }
-                }
-                // Hard decision and word-parallel convergence check: lane
-                // l converged iff its decided errors reproduce its
-                // syndrome on every detector. Frozen lanes keep their
-                // stale decision bits; `active` masks them out below.
-                for (j, mask) in decided.iter_mut().enumerate() {
-                    let post = &posteriors[j * LANES..(j + 1) * LANES];
-                    let mut m64 = *mask;
-                    for &l in &live {
-                        if post[l] < 0.0 {
-                            m64 |= 1 << l;
-                        } else {
-                            m64 &= !(1 << l);
-                        }
-                    }
-                    *mask = m64;
-                }
-                let mut mismatch = 0u64;
-                for (d, &dm) in det_mask.iter().enumerate() {
-                    let mut acc = 0u64;
-                    for &j in m.row(d) {
-                        acc ^= decided[j];
-                    }
-                    mismatch |= acc ^ dm;
-                }
-                let newly = active & !mismatch;
-                if newly != 0 {
-                    let mut bits = newly;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let mut obs_mask = 0u64;
-                        for (j, &mask) in decided.iter().enumerate() {
-                            if (mask >> lane) & 1 == 1 {
-                                obs_mask ^= m.observable_mask(j);
-                            }
-                        }
-                        record(predictions, group[lane], obs_mask);
-                    }
-                    active &= !newly;
-                    live = (0..group.len()).filter(|l| (active >> l) & 1 == 1).collect();
-                }
-                if active == 0 {
-                    break;
-                }
-            }
-            // Scalar OSD fallback for the lanes BP never settled, with
-            // their last-iteration posteriors — identical inputs to the
-            // scalar path's OSD stage.
-            let mut bits = active;
-            while bits != 0 {
-                let lane = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let s = group[lane];
-                let syndrome =
-                    BitVec::from_words(transposed.row_words(s).to_vec(), transposed.cols());
-                let lane_posteriors: Vec<f64> =
-                    (0..num_errors).map(|j| posteriors[j * LANES + lane]).collect();
-                let errors = self.osd(&syndrome, &lane_posteriors);
-                record(predictions, s, m.observables_of(&errors));
-            }
-        }
     }
 }
 
@@ -572,42 +368,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn min_sum_check_matches_the_rescan(row in arb_row(), syndrome in any::<bool>(),
-                                            lane_syndromes in any::<u64>(),
-                                            live_mask in any::<u64>()) {
+        fn min_sum_check_matches_the_rescan(row in arb_row(), syndrome in any::<bool>()) {
             let scale = 0.75;
             let mut out = vec![f64::NAN; row.len()];
-            min_sum_check::<1>(&row, &mut out, u64::from(syndrome), &[0], scale);
+            min_sum_check(&row, &mut out, syndrome, scale);
             prop_assert_eq!(to_bits(&out), to_bits(&rescan_check(&row, syndrome, scale)));
-
-            // 64 lanes: lane l holds the row rotated by l, negated on odd
-            // rotation rounds, with syndrome bit l of `lane_syndromes`.
-            // Lanes outside `live_mask` must be left untouched.
-            const LANES: usize = 64;
-            let n = row.len();
-            let lane_row = |l: usize| -> Vec<f64> {
-                let flip = (l / n) % 2 == 1;
-                (0..n).map(|i| if flip { -row[(i + l) % n] } else { row[(i + l) % n] }).collect()
-            };
-            let mut incoming = vec![0.0; n * LANES];
-            for l in 0..LANES {
-                for (i, msg) in lane_row(l).into_iter().enumerate() {
-                    incoming[i * LANES + l] = msg;
-                }
-            }
-            let live: Vec<usize> = (0..LANES).filter(|l| (live_mask >> l) & 1 == 1).collect();
-            let sentinel = 42.0f64;
-            let mut outgoing = vec![sentinel; n * LANES];
-            min_sum_check::<LANES>(&incoming, &mut outgoing, lane_syndromes, &live, scale);
-            for l in 0..LANES {
-                let got: Vec<f64> = (0..n).map(|i| outgoing[i * LANES + l]).collect();
-                let expected = if (live_mask >> l) & 1 == 1 {
-                    rescan_check(&lane_row(l), (lane_syndromes >> l) & 1 == 1, scale)
-                } else {
-                    vec![sentinel; n]
-                };
-                prop_assert_eq!(to_bits(&got), to_bits(&expected), "lane {}", l);
-            }
         }
     }
 

@@ -173,8 +173,8 @@ impl DecodeMatrix {
 /// therefore MCTS rollouts — by an order of magnitude without changing any
 /// decoding decision.
 pub struct CachedDecoder<D> {
-    pub(crate) inner: D,
-    pub(crate) cache: std::sync::Mutex<std::collections::HashMap<Vec<u64>, BitVec>>,
+    inner: D,
+    cache: std::sync::Mutex<std::collections::HashMap<Vec<u64>, BitVec>>,
 }
 
 impl<D: asynd_circuit::ObservableDecoder> CachedDecoder<D> {

@@ -47,7 +47,6 @@ mod common;
 mod mwpm;
 mod unionfind;
 
-pub use batch::ResidualDecoder;
 pub use bposd::{BpOsdDecoder, BpOsdFactory};
 pub use common::{CachedDecoder, DecodeMatrix, DecoderError};
 pub use mwpm::{MwpmDecoder, MwpmFactory};

@@ -1,10 +1,12 @@
 //! Batch-vs-scalar equivalence fuzzing.
 //!
-//! The word-parallel `decode_batch` paths (zero-/single-defect bulk
-//! serving, lane-batched BP, cache-hit scans) must be bit-identical to the
-//! scalar `ObservableDecoder::decode` oracle for every decoder in the
-//! crate. This suite fuzzes that contract across random detector error
-//! models and shot counts straddling the 64-shot word boundary.
+//! The word-parallel `decode_batch` (zero-/single-defect bulk serving,
+//! then one scalar `decode` per hard shot off the transposed matrix) must
+//! be bit-identical to the scalar `ObservableDecoder::decode` oracle for
+//! every decoder in the crate, bare and behind the `CachedDecoder` memo
+//! cache that every factory wraps it in. This suite fuzzes that contract
+//! across random detector error models and shot counts straddling the
+//! 64-shot word boundary.
 
 use asynd_circuit::{DemError, DetectorErrorModel};
 use asynd_decode::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};
@@ -41,8 +43,10 @@ fn arb_shots() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(63usize), Just(64usize), Just(65usize), 2usize..130]
 }
 
+/// Checks `decoder.decode_batch` shot by shot against `oracle.decode_shot`.
 fn assert_batch_matches_scalar(
     decoder: &dyn BatchDecoder,
+    oracle: &dyn BatchDecoder,
     dem: &DetectorErrorModel,
     shots: usize,
     seed: u64,
@@ -55,7 +59,7 @@ fn assert_batch_matches_scalar(
     assert_eq!(predictions.rows(), dem.num_observables());
     assert_eq!(predictions.cols(), shots);
     for s in 0..shots {
-        let scalar = decoder.decode_shot(&batch.shot_detectors(s));
+        let scalar = oracle.decode_shot(&batch.shot_detectors(s));
         assert_eq!(predictions.column(s), scalar, "shot {s} diverges from the scalar oracle");
     }
 }
@@ -67,34 +71,53 @@ proptest! {
     fn mwpm_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                  shots in arb_shots(), shot_seed in any::<u64>()) {
         let dem = random_dem(nd, no, dem_seed);
-        assert_batch_matches_scalar(&MwpmDecoder::new(&dem), &dem, shots, shot_seed);
+        let decoder = MwpmDecoder::new(&dem);
+        assert_batch_matches_scalar(&decoder, &decoder, &dem, shots, shot_seed);
     }
 
     #[test]
     fn unionfind_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                       shots in arb_shots(), shot_seed in any::<u64>()) {
         let dem = random_dem(nd, no, dem_seed);
-        assert_batch_matches_scalar(&UnionFindDecoder::new(&dem), &dem, shots, shot_seed);
+        let decoder = UnionFindDecoder::new(&dem);
+        assert_batch_matches_scalar(&decoder, &decoder, &dem, shots, shot_seed);
     }
 
     #[test]
     fn bposd_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                   shots in arb_shots(), shot_seed in any::<u64>()) {
-        // The lane-batched BP message pass must replay the scalar
-        // floating-point schedule exactly, so equality here is bit-level,
-        // not approximate.
+        // Equality is bit-level, not approximate: the batch must run the
+        // same floating-point BP schedule as the scalar oracle.
         let dem = random_dem(nd, no, dem_seed);
-        assert_batch_matches_scalar(&BpOsdDecoder::new(&dem, 10, 0), &dem, shots, shot_seed);
+        let decoder = BpOsdDecoder::new(&dem, 10, 0);
+        assert_batch_matches_scalar(&decoder, &decoder, &dem, shots, shot_seed);
     }
 
     #[test]
     fn cached_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
                                    shots in arb_shots(), shot_seed in any::<u64>()) {
+        // Each cached decoder is checked against a bare twin, so a cache
+        // that served a wrong prediction cannot agree with itself.
         let dem = random_dem(nd, no, dem_seed);
-        let cached = CachedDecoder::new(UnionFindDecoder::new(&dem));
-        assert_batch_matches_scalar(&cached, &dem, shots, shot_seed);
-        // A second pass over the same batch is served from a warm cache and
-        // must still agree.
-        assert_batch_matches_scalar(&cached, &dem, shots, shot_seed);
+        let pairs: [(Box<dyn BatchDecoder>, Box<dyn BatchDecoder>); 3] = [
+            (
+                Box::new(CachedDecoder::new(MwpmDecoder::new(&dem))),
+                Box::new(MwpmDecoder::new(&dem)),
+            ),
+            (
+                Box::new(CachedDecoder::new(UnionFindDecoder::new(&dem))),
+                Box::new(UnionFindDecoder::new(&dem)),
+            ),
+            (
+                Box::new(CachedDecoder::new(BpOsdDecoder::new(&dem, 10, 0))),
+                Box::new(BpOsdDecoder::new(&dem, 10, 0)),
+            ),
+        ];
+        for (cached, bare) in &pairs {
+            assert_batch_matches_scalar(cached.as_ref(), bare.as_ref(), &dem, shots, shot_seed);
+            // A second pass over the same batch is served from a warm cache
+            // and must still agree.
+            assert_batch_matches_scalar(cached.as_ref(), bare.as_ref(), &dem, shots, shot_seed);
+        }
     }
 }

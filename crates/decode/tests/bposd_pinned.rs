@@ -1,13 +1,14 @@
 //! Pinned BP-OSD predictions.
 //!
 //! Fingerprints `BpOsdDecoder` predictions on catalog codes under fixed
-//! seeds: the lane-batched `decode_batch` over 2048 sampled shots and the
+//! seeds: the word-parallel `decode_batch` over 2048 sampled shots and the
 //! scalar `decode` over the first 256 of them. `batch_scalar_equivalence.rs`
 //! only checks the two paths against each other, so a kernel change that
 //! alters both alike passes there; it fails here. The expected values were
-//! recorded with the O(row²) per-edge rescan check update and the
-//! two-reduction OSD-0 that the current kernels replaced, so they pin that
-//! the replacements are bit-identical.
+//! recorded with a 64-lane BP pass for the batch's hard shots, the O(row²)
+//! per-edge rescan check update and the two-reduction OSD-0, all since
+//! replaced by the scalar O(row) BP and one-reduction OSD-0, so they pin
+//! that the replacements are bit-identical.
 //!
 //! The fingerprint is 64-bit FNV-1a over the little-endian bytes of the
 //! packed prediction words, which is stable across Rust releases (unlike

@@ -79,7 +79,8 @@ pub struct EventLogReport {
     pub segments: usize,
     /// Events recovered.
     pub events: usize,
-    /// Corrupt or truncated lines skipped (never recovered).
+    /// Corrupt or truncated lines skipped (never recovered). A segment's
+    /// unterminated last line counts as truncated even when it parses.
     pub skipped: usize,
 }
 
@@ -106,7 +107,8 @@ pub struct EventLog {
 
 impl EventLog {
     /// Opens (or creates) a log directory, recovering every parseable
-    /// event from its segments and skipping corrupt or truncated lines.
+    /// newline-terminated event from its segments and skipping corrupt or
+    /// truncated lines.
     ///
     /// # Errors
     ///
@@ -137,7 +139,13 @@ impl EventLog {
             // Bytes, not text: one bit-rotted line must not brick the
             // whole segment.
             let bytes = fs::read(path)?;
-            for raw in bytes.split(|&b| b == b'\n') {
+            for raw in bytes.split_inclusive(|&b| b == b'\n') {
+                // Only a newline-terminated line is whole: an unterminated
+                // tail is a torn write, even when what is left parses.
+                let Some(raw) = raw.strip_suffix(b"\n") else {
+                    skipped += 1;
+                    continue;
+                };
                 match std::str::from_utf8(raw) {
                     Ok(line) if line.trim().is_empty() => {}
                     Ok(line) => match Event::from_line(line) {
@@ -280,6 +288,27 @@ mod tests {
         assert_eq!(report.events, 1);
         assert_eq!(report.skipped, 2);
         assert_eq!(reopened.events()[0].name, "ok");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unterminated_last_line_is_skipped_even_when_it_parses() {
+        let dir = scratch("unterminated");
+        let (log, _) = EventLog::open(&dir).unwrap();
+        for id in ["a", "b", "c"] {
+            log.record("job_store", fields(id));
+        }
+        log.flush().unwrap();
+        drop(log);
+        // A cut that removes exactly the final newline leaves a complete
+        // JSON object behind.
+        let segment = dir.join("evt-0000000000.jsonl");
+        let mut bytes = fs::read(&segment).unwrap();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        fs::write(&segment, &bytes).unwrap();
+        let (reopened, report) = EventLog::open(&dir).unwrap();
+        assert_eq!((report.events, report.skipped), (2, 1));
+        assert_eq!(reopened.events().last().unwrap().fields, fields("b"));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
