@@ -8,7 +8,7 @@
 
 use asynd_circuit::{DetectorErrorModel, NoiseModel, Sampler, Schedule};
 use asynd_codes::rotated_surface_code;
-use asynd_sim::{BatchSampler, EstimatorConfig, ParallelEstimator};
+use asynd_sim::{BatchSampler, BatchShots, BitMatrix, EstimatorConfig, ParallelEstimator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -108,21 +108,11 @@ fn bench_batch_kernel_scaling(c: &mut Criterion) {
 }
 
 fn bench_parallel_estimator(c: &mut Criterion) {
-    // Estimator throughput without a decoder in the loop (Blind decoder):
-    // isolates sampling + scoring from decoding cost.
-    use asynd_pauli::BitVec;
-    use asynd_sim::BatchDecoder;
-
-    struct Blind(usize);
-    impl BatchDecoder for Blind {
-        fn decode_shot(&self, _d: &BitVec) -> BitVec {
-            BitVec::zeros(self.0)
-        }
-    }
-
+    // Estimator throughput without a decoder in the loop (a blind decoder
+    // that predicts no flip): isolates sampling + scoring from decoding.
     let dem = surface_d5_dem();
     let model = dem.to_frame_model();
-    let blind = Blind(model.num_observables());
+    let blind = |shots: &BatchShots| BitMatrix::zeros(model.num_observables(), shots.num_shots());
     let mut group = c.benchmark_group("estimator-40960-shots-surface-d5");
     group.sample_size(10);
     for (name, threads) in [("1-thread", Some(1)), ("all-threads", None)] {

@@ -5,16 +5,16 @@
 //! converted to a [`FrameErrorModel`](asynd_sim::FrameErrorModel), shots
 //! are sampled 64-per-word by the bit-packed
 //! [`BatchSampler`](asynd_sim::BatchSampler), decoded through
-//! [`BatchDecoder`], and scored with word-parallel reductions, streamed in
-//! bounded-memory chunks across worker threads by the
-//! [`ParallelEstimator`]. The historical one-shot-at-a-time loop survives
-//! as [`estimate_logical_error_scalar`] for statistical cross-checks and
-//! benchmarking.
+//! [`ObservableDecoder::decode_batch`], and scored with word-parallel
+//! reductions, streamed in bounded-memory chunks across worker threads by
+//! the [`ParallelEstimator`]. The historical one-shot-at-a-time loop
+//! survives as [`estimate_logical_error_scalar`] for statistical
+//! cross-checks and benchmarking.
 
 use asynd_codes::StabilizerCode;
 use asynd_pauli::BitVec;
 use asynd_sim::{
-    BatchDecoder, BatchShots, BitMatrix, EstimatorConfig, ParallelEstimator, PhaseTimings,
+    BatchShots, BitMatrix, EstimatorConfig, ParallelEstimator, PhaseTimings, WORD_BITS,
 };
 use rand::Rng;
 
@@ -26,39 +26,101 @@ use crate::{CircuitError, DetectorErrorModel, NoiseModel, Sampler, Schedule};
 /// The concrete decoders (MWPM, hypergraph union-find, BP-OSD) live in the
 /// `asynd-decode` crate and implement this trait; the trait lives here so
 /// the evaluation loop — and through it the MCTS scheduler — can be generic
-/// over decoders without a dependency cycle.
-pub trait ObservableDecoder {
+/// over decoders without a dependency cycle. A decoder implements only
+/// [`decode`](Self::decode); the batch pipeline calls `decode_batch`.
+pub trait ObservableDecoder: Send + Sync {
     /// Predicts the observable flips for one shot's detector outcomes.
     ///
     /// The returned vector must have length equal to the DEM's observable
-    /// count.
-    fn decode(&self, detectors: &BitVec) -> BitVec;
-}
-
-/// A decoder that handles both the scalar and the word-parallel batch
-/// entry points — the object type the evaluation pipeline actually drives.
-///
-/// Implemented automatically (blanket impl) for every type that is both an
-/// [`ObservableDecoder`] and an [`asynd_sim::BatchDecoder`], which covers
-/// all concrete decoders in `asynd-decode`. The two methods must agree:
-/// `decode_batch` must be bit-identical to decoding every shot column
-/// through `decode` (the scalar oracle).
-pub trait BatchObservableDecoder: Send + Sync {
-    /// Predicts the observable flips for one shot's detector outcomes.
+    /// count. [`decode_batch`](Self::decode_batch) relies on two more
+    /// properties of every implementation: the prediction is a
+    /// deterministic function of `detectors`, and the all-zero syndrome
+    /// predicts no flip.
     fn decode(&self, detectors: &BitVec) -> BitVec;
 
-    /// Decodes a packed batch; one prediction bit-column per shot.
-    fn decode_batch(&self, shots: &BatchShots) -> BitMatrix;
-}
-
-impl<T: ObservableDecoder + BatchDecoder + Send + Sync> BatchObservableDecoder for T {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        ObservableDecoder::decode(self, detectors)
-    }
-
+    /// Decodes a packed batch: column `s` of the returned
+    /// `num_observables × num_shots` matrix is the prediction for shot `s`,
+    /// bit-identical to `decode(&shots.shot_detectors(s))`.
+    ///
+    /// Zero-defect shots cost nothing, single-defect shots share one
+    /// `decode` per distinct firing detector, and each multi-defect shot is
+    /// decoded by `decode` off one blocked transpose. Wrappers override this
+    /// only to forward to an inner decoder's `decode_batch`.
     fn decode_batch(&self, shots: &BatchShots) -> BitMatrix {
-        BatchDecoder::decode_batch(self, shots)
+        word_parallel_batch(self, shots)
     }
+}
+
+/// The batch decoder trait's former name, kept for callers that still
+/// spell it; it is [`ObservableDecoder`] itself.
+pub use ObservableDecoder as BatchObservableDecoder;
+
+/// The shared word-parallel engine: pre-screens every shot word, serves
+/// zero- and single-defect shots in bulk, and decodes each remaining hard
+/// shot with `decoder.decode`.
+fn word_parallel_batch<D>(decoder: &D, shots: &BatchShots) -> BitMatrix
+where
+    D: ObservableDecoder + ?Sized,
+{
+    let detectors = &shots.detectors;
+    let num_detectors = detectors.rows();
+    let num_shots = shots.num_shots();
+    let num_observables = shots.observables.rows();
+    let mut predictions = BitMatrix::zeros(num_observables, num_shots);
+    if num_shots == 0 {
+        return predictions;
+    }
+    let words = detectors.words_per_row();
+    // One-hot lookup table, filled on demand: a single-defect shot's
+    // syndrome IS the one-hot vector of its firing detector, so the scalar
+    // decoder runs at most once per distinct detector per call.
+    let mut one_hot: Vec<Option<BitVec>> = vec![None; num_detectors];
+    let mut hard_shots = Vec::new();
+    for w in 0..words {
+        let valid = if w + 1 == words { detectors.tail_mask() } else { u64::MAX };
+        // Saturating per-shot defect counter in two bit-planes: `any` is
+        // "≥1 defect", `multi` is "≥2 defects", maintained with two word
+        // ops per detector row.
+        let mut any = 0u64;
+        let mut multi = 0u64;
+        for r in 0..num_detectors {
+            let row = detectors.row_words(r)[w];
+            multi |= any & row;
+            any |= row;
+        }
+        let single = any & !multi & valid;
+        if single != 0 {
+            for (r, slot) in one_hot.iter_mut().enumerate() {
+                let mask = single & detectors.row_words(r)[w];
+                if mask == 0 {
+                    continue;
+                }
+                let prediction = slot.get_or_insert_with(|| {
+                    decoder.decode(&BitVec::from_indices(num_detectors, &[r]))
+                });
+                for o in prediction.ones() {
+                    predictions.xor_row_word(o, w, mask);
+                }
+            }
+        }
+        let mut hard = multi & valid;
+        while hard != 0 {
+            hard_shots.push(w * WORD_BITS + hard.trailing_zeros() as usize);
+            hard &= hard - 1;
+        }
+    }
+    if !hard_shots.is_empty() {
+        // One blocked transpose makes every hard shot's syndrome one
+        // contiguous word slice; zero-/single-defect shots never pay for it.
+        let transposed = detectors.transpose();
+        for s in hard_shots {
+            let syndrome = BitVec::from_words(transposed.row_words(s).to_vec(), num_detectors);
+            for o in decoder.decode(&syndrome).ones() {
+                predictions.set(o, s, true);
+            }
+        }
+    }
+    predictions
 }
 
 /// A factory that builds a decoder for a given detector error model.
@@ -73,45 +135,11 @@ pub trait DecoderFactory {
     /// Builds a decoder specialised to `dem`.
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync>;
 
-    /// Builds a batch-capable decoder specialised to `dem`.
-    ///
-    /// The default wraps [`Self::build`]'s scalar decoder in a shot-wise
-    /// adapter (one `decode` call per shot). Factories whose decoders have
-    /// genuinely word-parallel `decode_batch` implementations override
-    /// this to hand the concrete type through, keeping its fast path.
-    fn build_batch(&self, dem: &DetectorErrorModel) -> Box<dyn BatchObservableDecoder> {
-        Box::new(ShotwiseAdapter(self.build(dem)))
-    }
-}
-
-/// Adapts an owned scalar [`ObservableDecoder`] to the batch interface
-/// (per-shot unpack via the default `decode_batch`).
-struct ShotwiseAdapter(Box<dyn ObservableDecoder + Send + Sync>);
-
-impl BatchDecoder for ShotwiseAdapter {
-    fn decode_shot(&self, detectors: &BitVec) -> BitVec {
-        self.0.decode(detectors)
-    }
-}
-
-impl ObservableDecoder for ShotwiseAdapter {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        self.0.decode(detectors)
-    }
-}
-
-/// Borrowed view adapting a [`BatchObservableDecoder`] trait object to the
-/// simulator's [`BatchDecoder`], forwarding *both* methods so a
-/// word-parallel `decode_batch` override is never silently dropped.
-struct AsBatch<'a>(&'a dyn BatchObservableDecoder);
-
-impl BatchDecoder for AsBatch<'_> {
-    fn decode_shot(&self, detectors: &BitVec) -> BitVec {
-        self.0.decode(detectors)
-    }
-
-    fn decode_batch(&self, shots: &BatchShots) -> BitMatrix {
-        self.0.decode_batch(shots)
+    /// Builds the decoder the batch pipeline drives. The default is
+    /// [`Self::build`]'s decoder; a wrapping factory overrides it to wrap
+    /// what the pipeline decodes with (e.g. to time `decode_batch`).
+    fn build_batch(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder> {
+        self.build(dem)
     }
 }
 
@@ -299,7 +327,7 @@ pub fn estimate_logical_error_timed<R: Rng + ?Sized>(
 /// of `(frame, decoder, master_seed)`.
 pub(crate) fn run_estimate(
     frame: &asynd_sim::FrameErrorModel,
-    decoder: &dyn BatchObservableDecoder,
+    decoder: &dyn ObservableDecoder,
     split_x: usize,
     shots: usize,
     options: &EstimateOptions,
@@ -319,8 +347,9 @@ pub(crate) fn run_estimate(
         max_threads: options.max_threads,
         ..EstimatorConfig::default()
     });
+    let decode_batch = |batch: &BatchShots| decoder.decode_batch(batch);
     let (estimate, timings) =
-        estimator.estimate_timed(frame, &AsBatch(decoder), split_x, shots, master_seed);
+        estimator.estimate_timed(frame, &decode_batch, split_x, shots, master_seed);
     Ok((
         LogicalErrorEstimate {
             x_failures: estimate.x_failures,
@@ -409,6 +438,21 @@ mod tests {
         }
     }
 
+    /// Flips observable 0 on odd parity of the even-indexed defects: a
+    /// decoder that implements only `decode`, so its batches take the
+    /// provided `decode_batch`.
+    struct ParityDecoder {
+        observables: usize,
+    }
+
+    impl ObservableDecoder for ParityDecoder {
+        fn decode(&self, detectors: &BitVec) -> BitVec {
+            let mut out = BitVec::zeros(self.observables);
+            out.set(0, detectors.ones().filter(|d| d % 2 == 0).count() % 2 == 1);
+            out
+        }
+    }
+
     struct NullFactory;
 
     impl DecoderFactory for NullFactory {
@@ -419,6 +463,29 @@ mod tests {
         fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
             Box::new(NullDecoder { observables: dem.num_observables() })
         }
+    }
+
+    #[test]
+    fn provided_decode_batch_matches_decode_column_by_column() {
+        let code = steane_code();
+        let noise = NoiseModel::uniform(0.02, 0.01, 0.02);
+        let dem = DetectorErrorModel::build(&code, &Schedule::trivial(&code), &noise).unwrap();
+        let sampler = asynd_sim::BatchSampler::new(&dem.to_frame_model());
+        let decoder = ParityDecoder { observables: dem.num_observables() };
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        // Shots seen with zero, one and two or more defects.
+        let mut classes = [0usize; 3];
+        for shots in [1, 63, 64, 65, 130] {
+            let batch = sampler.sample(shots, &mut rng);
+            let predictions = decoder.decode_batch(&batch);
+            assert_eq!((predictions.rows(), predictions.cols()), (dem.num_observables(), shots));
+            for s in 0..shots {
+                let detectors = batch.shot_detectors(s);
+                classes[detectors.count_ones().min(2)] += 1;
+                assert_eq!(predictions.column(s), decoder.decode(&detectors), "{shots} shots: {s}");
+            }
+        }
+        assert!(classes.iter().all(|&n| n > 0), "every shot class must occur: {classes:?}");
     }
 
     #[test]

@@ -40,8 +40,8 @@ use asynd_telemetry::{labeled, Counter, Histogram, MetricsRegistry};
 
 use crate::evaluate::run_estimate;
 use crate::{
-    BatchObservableDecoder, CircuitError, DecoderFactory, DetectorErrorModel, EstimateOptions,
-    LogicalErrorEstimate, NoiseModel, Schedule, ScheduleKey,
+    CircuitError, DecoderFactory, DetectorErrorModel, EstimateOptions, LogicalErrorEstimate,
+    NoiseModel, ObservableDecoder, Schedule, ScheduleKey,
 };
 
 /// Default number of schedules kept in the [`Evaluator`]'s LRU cache.
@@ -169,7 +169,7 @@ impl EvaluatorMetrics {
 struct Model {
     dem: Arc<DetectorErrorModel>,
     frame: Arc<FrameErrorModel>,
-    decoder: Arc<dyn BatchObservableDecoder>,
+    decoder: Arc<dyn ObservableDecoder>,
 }
 
 /// The full memoisation key: a fingerprint of the code (stabilizers and
@@ -534,7 +534,7 @@ impl Evaluator {
         let start = Instant::now();
         let dem = DetectorErrorModel::build(code, schedule, &self.noise)?;
         let frame = Arc::new(dem.to_frame_model());
-        let decoder: Arc<dyn BatchObservableDecoder> = Arc::from(self.factory.build_batch(&dem));
+        let decoder: Arc<dyn ObservableDecoder> = Arc::from(self.factory.build_batch(&dem));
         self.metric(|m| m.build_us.record_duration(start.elapsed()));
         Ok(Model { dem: Arc::new(dem), frame, decoder })
     }
@@ -608,7 +608,6 @@ impl Evaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ObservableDecoder;
     use asynd_codes::steane_code;
     use asynd_pauli::BitVec;
 

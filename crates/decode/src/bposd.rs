@@ -284,13 +284,6 @@ impl DecoderFactory for BpOsdFactory {
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
         Box::new(CachedDecoder::new(BpOsdDecoder::new(dem, self.max_iterations, self.osd_order)))
     }
-
-    fn build_batch(
-        &self,
-        dem: &DetectorErrorModel,
-    ) -> Box<dyn asynd_circuit::BatchObservableDecoder> {
-        Box::new(CachedDecoder::new(BpOsdDecoder::new(dem, self.max_iterations, self.osd_order)))
-    }
 }
 
 #[cfg(test)]

@@ -2,18 +2,27 @@
 //! hypergraph union-find and BP-OSD.
 //!
 //! All decoders are constructed from an [`asynd_circuit::DetectorErrorModel`]
-//! and implement [`asynd_circuit::ObservableDecoder`] as well as the batch
-//! interface [`asynd_sim::BatchDecoder`], so they plug directly into the
-//! evaluation loop (`estimate_logical_error`), the bit-packed batch
-//! pipeline and the MCTS scheduler's decoder-in-the-loop rollouts. Each decoder also provides a
-//! [`asynd_circuit::DecoderFactory`] so callers can be generic over the
-//! decoder family, mirroring the paper's cross-decoder experiments.
+//! and implement [`asynd_circuit::ObservableDecoder`], so they plug directly
+//! into the evaluation loop (`estimate_logical_error`), the bit-packed batch
+//! pipeline and the MCTS scheduler's decoder-in-the-loop rollouts. Each
+//! decoder also provides a [`asynd_circuit::DecoderFactory`] so callers can
+//! be generic over the decoder family, mirroring the paper's cross-decoder
+//! experiments.
 //!
 //! | Paper decoder | This crate |
 //! |---|---|
 //! | MWPM (PyMatching / sparse blossom) | [`MwpmDecoder`] — Dijkstra distances on the matching graph, exact bitmask matching for small defect sets, greedy fallback |
 //! | Hypergraph union-find | [`UnionFindDecoder`] — cluster growth on the DEM Tanner graph with GF(2) validity checks |
 //! | BP-OSD | [`BpOsdDecoder`] — min-sum belief propagation followed by ordered-statistics post-processing |
+//!
+//! Each decoder implements only the scalar `decode`. A packed batch goes
+//! through the trait's provided `decode_batch`, which serves zero- and
+//! single-defect shots in bulk and calls `decode` once per multi-defect
+//! ("hard") shot: one matching, one cluster growth, or scalar min-sum BP
+//! followed by OSD when BP does not converge (a 64-lane BP pass over the
+//! hard shots measured 1.2–1.4× slower; EXPERIMENTS.md). Every factory
+//! wraps its decoder in [`CachedDecoder`], so a syndrome repeated within
+//! or across batches is decoded once.
 //!
 //! # Example
 //!
@@ -41,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod bposd;
 mod common;
 mod mwpm;

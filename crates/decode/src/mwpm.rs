@@ -357,13 +357,6 @@ impl DecoderFactory for MwpmFactory {
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
         Box::new(CachedDecoder::new(MwpmDecoder::new(dem)))
     }
-
-    fn build_batch(
-        &self,
-        dem: &DetectorErrorModel,
-    ) -> Box<dyn asynd_circuit::BatchObservableDecoder> {
-        Box::new(CachedDecoder::new(MwpmDecoder::new(dem)))
-    }
 }
 
 #[cfg(test)]

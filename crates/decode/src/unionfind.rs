@@ -341,13 +341,6 @@ impl DecoderFactory for UnionFindFactory {
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
         Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
     }
-
-    fn build_batch(
-        &self,
-        dem: &DetectorErrorModel,
-    ) -> Box<dyn asynd_circuit::BatchObservableDecoder> {
-        Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
-    }
 }
 
 #[cfg(test)]

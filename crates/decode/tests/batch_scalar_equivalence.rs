@@ -1,16 +1,17 @@
 //! Batch-vs-scalar equivalence fuzzing.
 //!
-//! The word-parallel `decode_batch` (zero-/single-defect bulk serving,
-//! then one scalar `decode` per hard shot off the transposed matrix) must
-//! be bit-identical to the scalar `ObservableDecoder::decode` oracle for
-//! every decoder in the crate, bare and behind the `CachedDecoder` memo
-//! cache that every factory wraps it in. This suite fuzzes that contract
-//! across random detector error models and shot counts straddling the
-//! 64-shot word boundary.
+//! `ObservableDecoder`'s word-parallel `decode_batch` (zero-/single-defect
+//! bulk serving, then one scalar `decode` per hard shot off the transposed
+//! matrix) must be bit-identical to the scalar `ObservableDecoder::decode`
+//! oracle for every decoder in the crate, bare and behind the
+//! `CachedDecoder` memo cache that every factory wraps it in. This suite
+//! fuzzes that contract across random detector error models and shot
+//! counts straddling the 64-shot word boundary, and checks it on a toy DEM
+//! with hand-built shots of each class.
 
-use asynd_circuit::{DemError, DetectorErrorModel};
+use asynd_circuit::{DemError, DetectorErrorModel, ObservableDecoder};
 use asynd_decode::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};
-use asynd_sim::{BatchDecoder, BatchSampler};
+use asynd_sim::{BatchSampler, BatchShots, BitMatrix};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -43,10 +44,10 @@ fn arb_shots() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(63usize), Just(64usize), Just(65usize), 2usize..130]
 }
 
-/// Checks `decoder.decode_batch` shot by shot against `oracle.decode_shot`.
+/// Checks `decoder.decode_batch` shot by shot against `oracle.decode`.
 fn assert_batch_matches_scalar(
-    decoder: &dyn BatchDecoder,
-    oracle: &dyn BatchDecoder,
+    decoder: &dyn ObservableDecoder,
+    oracle: &dyn ObservableDecoder,
     dem: &DetectorErrorModel,
     shots: usize,
     seed: u64,
@@ -59,7 +60,7 @@ fn assert_batch_matches_scalar(
     assert_eq!(predictions.rows(), dem.num_observables());
     assert_eq!(predictions.cols(), shots);
     for s in 0..shots {
-        let scalar = oracle.decode_shot(&batch.shot_detectors(s));
+        let scalar = oracle.decode(&batch.shot_detectors(s));
         assert_eq!(predictions.column(s), scalar, "shot {s} diverges from the scalar oracle");
     }
 }
@@ -99,7 +100,7 @@ proptest! {
         // Each cached decoder is checked against a bare twin, so a cache
         // that served a wrong prediction cannot agree with itself.
         let dem = random_dem(nd, no, dem_seed);
-        let pairs: [(Box<dyn BatchDecoder>, Box<dyn BatchDecoder>); 3] = [
+        let pairs: [(Box<dyn ObservableDecoder>, Box<dyn ObservableDecoder>); 3] = [
             (
                 Box::new(CachedDecoder::new(MwpmDecoder::new(&dem))),
                 Box::new(MwpmDecoder::new(&dem)),
@@ -119,5 +120,79 @@ proptest! {
             // and must still agree.
             assert_batch_matches_scalar(cached.as_ref(), bare.as_ref(), &dem, shots, shot_seed);
         }
+    }
+}
+
+/// A three-detector, two-observable DEM for the hand-built checks below.
+fn toy_dem() -> DetectorErrorModel {
+    DetectorErrorModel::from_parts(
+        3,
+        2,
+        vec![
+            DemError { probability: 0.05, detectors: vec![0], observables: vec![0] },
+            DemError { probability: 0.08, detectors: vec![0, 1], observables: vec![] },
+            DemError { probability: 0.03, detectors: vec![1, 2], observables: vec![1] },
+        ],
+    )
+}
+
+#[test]
+fn batch_decoding_matches_scalar_decoding() {
+    let dem = toy_dem();
+    let model = dem.to_frame_model();
+    let sampler = BatchSampler::new(&model);
+    let mut rng = ChaCha8Rng::seed_from_u64(2);
+    let batch = sampler.sample(200, &mut rng);
+
+    let decoders: Vec<Box<dyn ObservableDecoder>> = vec![
+        Box::new(MwpmDecoder::new(&dem)),
+        Box::new(UnionFindDecoder::new(&dem)),
+        Box::new(BpOsdDecoder::new(&dem, 10, 0)),
+        Box::new(CachedDecoder::new(UnionFindDecoder::new(&dem))),
+    ];
+    for decoder in &decoders {
+        let predictions = decoder.decode_batch(&batch);
+        assert_eq!(predictions.rows(), dem.num_observables());
+        assert_eq!(predictions.cols(), 200);
+        for s in 0..200 {
+            let scalar = decoder.decode(&batch.shot_detectors(s));
+            assert_eq!(predictions.column(s), scalar, "shot {s}");
+        }
+    }
+}
+
+#[test]
+fn all_shot_classes_route_correctly() {
+    // Hand-built batch with exactly one zero-defect, one single-defect
+    // and one multi-defect shot — the three engine paths.
+    let dem = toy_dem();
+    let model = dem.to_frame_model();
+    let mut detectors = BitMatrix::zeros(3, 3);
+    detectors.set(0, 1, true); // shot 1: detector 0 only (single)
+    detectors.set(0, 2, true); // shot 2: detectors 0 and 1 (hard)
+    detectors.set(1, 2, true);
+    let batch = BatchShots { detectors, observables: BitMatrix::zeros(2, 3) };
+    let _ = model;
+    let decoder = MwpmDecoder::new(&dem);
+    let predictions = decoder.decode_batch(&batch);
+    for s in 0..3 {
+        assert_eq!(predictions.column(s), decoder.decode(&batch.shot_detectors(s)), "shot {s}");
+    }
+    assert!(!predictions.column(0).any(), "quiet shot must predict nothing");
+}
+
+#[test]
+fn cached_decoder_is_batch_capable() {
+    let dem = toy_dem();
+    let cached = CachedDecoder::new(MwpmDecoder::new(&dem));
+    let model = dem.to_frame_model();
+    let sampler = BatchSampler::new(&model);
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let batch = sampler.sample(100, &mut rng);
+    let predictions = ObservableDecoder::decode_batch(&cached, &batch);
+    assert_eq!(predictions.cols(), 100);
+    for s in 0..100 {
+        let scalar = ObservableDecoder::decode(&cached, &batch.shot_detectors(s));
+        assert_eq!(predictions.column(s), scalar, "shot {s}");
     }
 }

@@ -17,7 +17,7 @@
 use asynd_circuit::{DetectorErrorModel, NoiseModel, ObservableDecoder, Schedule};
 use asynd_codes::catalog::{family_by_name, CatalogEntry};
 use asynd_decode::BpOsdDecoder;
-use asynd_sim::{BatchDecoder, BatchSampler};
+use asynd_sim::BatchSampler;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

@@ -26,7 +26,7 @@
 //!   warm-start from their tenant's best stored artifact), stores
 //!   winners after, and answers the `lookup` protocol op from it without
 //!   spending any evaluation budget. Sweeps share the same tenant
-//!   namespace via [`sweep::run_sweep_with_registry`].
+//!   namespace via [`sweep::SweepOptions::registry`].
 //!
 //! # Determinism contract
 //!
@@ -76,7 +76,7 @@ pub mod sweep;
 mod tenants;
 
 pub use client::{Client, ClientError, ClientOptions, MetricsClient, WireProtocol};
-pub use queue::{BoundedQueue, ShardedQueue, WakeupStats};
+pub use queue::{ShardedQueue, WakeupStats};
 pub use reactor::{serve_tcp_with, ReactorOptions};
 pub use server::{serve_lines, serve_tcp, JobHandle, ScheduleServer, ServerConfig};
 pub use tenants::{tenant_salt, Tenant, TenantMap};

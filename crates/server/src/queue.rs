@@ -1,20 +1,12 @@
-//! The bounded job queues underneath the schedule server.
+//! The bounded job queue underneath the schedule server.
 //!
-//! Two shapes live here:
+//! [`ShardedQueue`] keeps per-shard locks so submitters and workers on
+//! different shards never contend, a single atomic occupancy counter
+//! enforcing the global bound, and *targeted* wakeups: the notify syscall
+//! is skipped entirely unless a waiter is registered, so a busy server
+//! with spinning workers never pays a wakeup herd.
 //!
-//! * [`BoundedQueue`] — a `Mutex<VecDeque>` with two condition variables
-//!   (producers waiting for space, consumers waiting for work) —
-//!   deliberately boring, per McKenney's guidance that serving-layer
-//!   concurrency should be as disciplined as the deterministic evaluator
-//!   underneath it.
-//! * [`ShardedQueue`] — the high-concurrency variant the reactor server
-//!   uses: per-shard locks so submitters and workers on different shards
-//!   never contend, a single atomic occupancy counter enforcing the
-//!   global bound, and *targeted* wakeups — the notify syscall is skipped
-//!   entirely unless a waiter is registered, so a busy server with
-//!   spinning workers never pays a wakeup herd.
-//!
-//! Both queues count every condvar notification they issue
+//! The queue counts every condvar notification it issues
 //! ([`WakeupStats`]); the contention regression tests pin the no-herd
 //! property to those counters. The bound is the server's backpressure: a
 //! caller either blocks (`push`) or gets an immediate refusal
@@ -33,145 +25,6 @@ pub struct WakeupStats {
     pub work_notifies: u64,
     /// Notifications aimed at producers waiting for space.
     pub space_notifies: u64,
-}
-
-/// A closeable multi-producer multi-consumer FIFO with a hard capacity.
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    /// Signalled when space frees up (producers wait here).
-    space: Condvar,
-    /// Signalled when work arrives or the queue closes (consumers wait
-    /// here).
-    work: Condvar,
-    capacity: usize,
-    work_notifies: AtomicU64,
-    space_notifies: AtomicU64,
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    open: bool,
-    /// Consumers currently parked in `work.wait`. Producers skip the
-    /// notify syscall when this is zero: any consumer arriving later
-    /// re-checks `items` under this same mutex before parking, so the
-    /// item cannot be missed.
-    work_waiters: usize,
-    /// Producers currently parked in `space.wait` (same discipline).
-    space_waiters: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                open: true,
-                work_waiters: 0,
-                space_waiters: 0,
-            }),
-            space: Condvar::new(),
-            work: Condvar::new(),
-            capacity: capacity.max(1),
-            work_notifies: AtomicU64::new(0),
-            space_notifies: AtomicU64::new(0),
-        }
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Condvar notifications issued so far.
-    pub fn wakeup_stats(&self) -> WakeupStats {
-        WakeupStats {
-            work_notifies: self.work_notifies.load(Ordering::Relaxed),
-            space_notifies: self.space_notifies.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Enqueues, blocking while the queue is full. Returns the item back
-    /// if the queue closed before space appeared.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        while state.open && state.items.len() >= self.capacity {
-            state.space_waiters += 1;
-            state = self.space.wait(state).expect("queue poisoned");
-            state.space_waiters -= 1;
-        }
-        if !state.open {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        let notify = state.work_waiters > 0;
-        drop(state);
-        if notify {
-            self.work_notifies.fetch_add(1, Ordering::Relaxed);
-            self.work.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Enqueues without blocking. Returns the item back when the queue is
-    /// full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if !state.open || state.items.len() >= self.capacity {
-            return Err(item);
-        }
-        state.items.push_back(item);
-        let notify = state.work_waiters > 0;
-        drop(state);
-        if notify {
-            self.work_notifies.fetch_add(1, Ordering::Relaxed);
-            self.work.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Dequeues, blocking while the queue is empty. Returns `None` once
-    /// the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                let notify = state.space_waiters > 0;
-                drop(state);
-                if notify {
-                    self.space_notifies.fetch_add(1, Ordering::Relaxed);
-                    self.space.notify_one();
-                }
-                return Some(item);
-            }
-            if !state.open {
-                return None;
-            }
-            state.work_waiters += 1;
-            state = self.work.wait(state).expect("queue poisoned");
-            state.work_waiters -= 1;
-        }
-    }
-
-    /// Closes the queue: producers fail fast, consumers drain what is
-    /// left and then see `None`.
-    pub fn close(&self) {
-        self.state.lock().expect("queue poisoned").open = false;
-        self.space.notify_all();
-        self.work.notify_all();
-    }
 }
 
 /// A closeable MPMC queue spread over independently locked shards with
@@ -234,16 +87,6 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The global capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Items currently queued across all shards.
     pub fn len(&self) -> usize {
         self.size.load(Ordering::SeqCst)
@@ -269,9 +112,9 @@ impl<T> ShardedQueue<T> {
         self.push_to(shard, item)
     }
 
-    /// As [`ShardedQueue::push`], pinned to `shard_hint % shard_count`
-    /// (how a reactor keeps its connections' jobs on its workers' home
-    /// shard).
+    /// As [`ShardedQueue::push`], pinned to shard `shard_hint` modulo the
+    /// shard count (how a reactor keeps its connections' jobs on its
+    /// workers' home shard).
     pub fn push_to(&self, shard_hint: usize, item: T) -> Result<(), T> {
         loop {
             if !self.open.load(Ordering::SeqCst) {
@@ -311,9 +154,9 @@ impl<T> ShardedQueue<T> {
         Ok(())
     }
 
-    /// Dequeues, preferring `home_shard % shard_count` and scanning
-    /// outward, blocking while all shards are empty. Returns `None` once
-    /// the queue is closed *and* drained.
+    /// Dequeues, preferring shard `home_shard` modulo the shard count and
+    /// scanning outward, blocking while all shards are empty. Returns
+    /// `None` once the queue is closed *and* drained.
     pub fn pop(&self, home_shard: usize) -> Option<T> {
         loop {
             // Fast path: occupancy says an item exists (or is about to —
@@ -423,141 +266,6 @@ impl<T> ShardedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn fifo_order_is_preserved() {
-        let queue = BoundedQueue::new(8);
-        for i in 0..5 {
-            queue.try_push(i).unwrap();
-        }
-        assert_eq!(queue.len(), 5);
-        for i in 0..5 {
-            assert_eq!(queue.pop(), Some(i));
-        }
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn try_push_refuses_beyond_capacity() {
-        let queue = BoundedQueue::new(2);
-        queue.try_push('a').unwrap();
-        queue.try_push('b').unwrap();
-        assert_eq!(queue.try_push('c'), Err('c'), "the bound is hard");
-        assert_eq!(queue.pop(), Some('a'));
-        queue.try_push('c').unwrap();
-        assert_eq!(queue.len(), 2);
-    }
-
-    #[test]
-    fn capacity_is_at_least_one() {
-        let queue = BoundedQueue::new(0);
-        assert_eq!(queue.capacity(), 1);
-        queue.try_push(1).unwrap();
-        assert_eq!(queue.try_push(2), Err(2));
-    }
-
-    #[test]
-    fn blocking_push_waits_for_space() {
-        let queue = Arc::new(BoundedQueue::new(1));
-        queue.push(0).unwrap();
-        let producer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.push(1))
-        };
-        // The producer blocks until this pop frees the slot.
-        assert_eq!(queue.pop(), Some(0));
-        producer.join().unwrap().unwrap();
-        assert_eq!(queue.pop(), Some(1));
-    }
-
-    #[test]
-    fn close_drains_then_stops() {
-        let queue = BoundedQueue::new(4);
-        queue.try_push(1).unwrap();
-        queue.try_push(2).unwrap();
-        queue.close();
-        assert_eq!(queue.try_push(3), Err(3), "closed queues accept nothing");
-        assert_eq!(queue.push(4), Err(4));
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), None);
-        assert_eq!(queue.pop(), None, "closed + drained stays terminal");
-    }
-
-    #[test]
-    fn close_unblocks_waiting_consumers() {
-        let queue = Arc::new(BoundedQueue::<u32>::new(4));
-        let consumer = {
-            let queue = Arc::clone(&queue);
-            std::thread::spawn(move || queue.pop())
-        };
-        // Give the consumer a moment to park, then close.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        queue.close();
-        assert_eq!(consumer.join().unwrap(), None);
-    }
-
-    #[test]
-    fn pushes_with_nobody_waiting_never_notify() {
-        let queue = BoundedQueue::new(128);
-        for i in 0..50 {
-            queue.try_push(i).unwrap();
-        }
-        for i in 0..25 {
-            queue.push(50 + i).unwrap();
-        }
-        assert_eq!(
-            queue.wakeup_stats(),
-            WakeupStats::default(),
-            "no parked consumer, so no wakeup syscalls at all"
-        );
-        while queue.pop().is_some() {
-            if queue.is_empty() {
-                break;
-            }
-        }
-        assert_eq!(queue.wakeup_stats(), WakeupStats::default(), "pops with nobody full-blocked");
-    }
-
-    /// The contention regression pin: a bursty producer/consumer storm
-    /// must notify at most once per item moved — a herd (notify_all per
-    /// push, or notifies with nobody waiting) blows the bound
-    /// immediately.
-    #[test]
-    fn bounded_queue_wakeups_are_bounded_by_items_moved() {
-        const ITEMS: u64 = 2_000;
-        const CONSUMERS: usize = 4;
-        let queue = Arc::new(BoundedQueue::new(8));
-        let consumers: Vec<_> = (0..CONSUMERS)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    let mut got = 0u64;
-                    while queue.pop().is_some() {
-                        got += 1;
-                    }
-                    got
-                })
-            })
-            .collect();
-        for i in 0..ITEMS {
-            queue.push(i).unwrap();
-        }
-        queue.close();
-        let total: u64 = consumers.into_iter().map(|c| c.join().unwrap()).sum();
-        assert_eq!(total, ITEMS);
-        let stats = queue.wakeup_stats();
-        assert!(
-            stats.work_notifies <= ITEMS,
-            "work wakeups ({}) exceed items pushed ({ITEMS}): herd regression",
-            stats.work_notifies
-        );
-        assert!(
-            stats.space_notifies <= ITEMS,
-            "space wakeups ({}) exceed items popped ({ITEMS}): herd regression",
-            stats.space_notifies
-        );
-    }
 
     #[test]
     fn sharded_fifo_holds_within_a_shard() {

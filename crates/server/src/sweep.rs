@@ -468,35 +468,6 @@ impl<'a> SweepOptions<'a> {
     }
 }
 
-/// Runs a catalog sweep without a registry.
-///
-/// # Errors
-///
-/// As [`SweepOptions::run`].
-#[deprecated(note = "use `SweepOptions::with_config(config.clone()).run()`")]
-pub fn run_sweep(config: &SweepConfig) -> Result<SweepReport, ServerError> {
-    SweepOptions::with_config(config.clone()).run()
-}
-
-/// Runs a catalog sweep, optionally against a persistent schedule
-/// registry.
-///
-/// # Errors
-///
-/// As [`SweepOptions::run`].
-#[deprecated(note = "use `SweepOptions::with_config(config.clone()).registry(registry).run()`")]
-pub fn run_sweep_with_registry(
-    config: &SweepConfig,
-    registry: Option<&Registry>,
-) -> Result<SweepReport, ServerError> {
-    let options = SweepOptions::with_config(config.clone());
-    let options = match registry {
-        Some(registry) => options.registry(registry),
-        None => options,
-    };
-    options.run()
-}
-
 /// Expands a sweep config into its deterministic cell list (family
 /// order × entry order × rate order), validating the grid.
 pub(crate) fn enumerate_cells(config: &SweepConfig) -> Result<Vec<Cell>, ServerError> {
@@ -1015,20 +986,6 @@ mod tests {
             SweepOptions::with_config(config).run(),
             Err(ServerError::Rejected { .. })
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_run_a_sweep() {
-        // One release of back-compat: the free functions must keep
-        // producing the same report as the builder they forward to.
-        let config = tiny_config();
-        let via_shim = run_sweep(&config).unwrap();
-        let via_builder = SweepOptions::with_config(config.clone()).run().unwrap();
-        assert_eq!(
-            canonical_report_value(&via_shim.to_json(&config)),
-            canonical_report_value(&via_builder.to_json(&config)),
-        );
     }
 
     #[test]

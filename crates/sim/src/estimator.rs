@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::{BatchDecoder, BatchSampler, BatchShots, BitMatrix, FrameErrorModel};
+use crate::{BatchSampler, BatchShots, BitMatrix, FrameErrorModel};
 
 /// Wilson score interval for a binomial proportion.
 ///
@@ -180,10 +180,12 @@ impl ChunkCounts {
     }
 }
 
-/// Streams chunks of packed shots through a [`BatchDecoder`] in parallel
-/// and accumulates logical failure counts.
+/// Streams chunks of packed shots through a batch decoder in parallel and
+/// accumulates logical failure counts.
 ///
-/// The shot budget is split into fixed-size chunks; each chunk gets an
+/// The decoder is any `Fn(&BatchShots) -> BitMatrix` returning one
+/// prediction bit-column per shot (`num_observables × num_shots`). The
+/// shot budget is split into fixed-size chunks; each chunk gets an
 /// independent ChaCha8 RNG derived from the caller's seed and the chunk
 /// index (SplitMix64 mixing), is sampled with the word-packed
 /// [`BatchSampler`], decoded, and scored with word-parallel XOR/OR
@@ -195,16 +197,11 @@ impl ChunkCounts {
 ///
 /// ```
 /// use asynd_sim::{
-///     BatchDecoder, EstimatorConfig, FrameErrorModel, Mechanism, ParallelEstimator,
+///     BatchShots, BitMatrix, EstimatorConfig, FrameErrorModel, Mechanism, ParallelEstimator,
 /// };
-/// use asynd_pauli::BitVec;
 ///
-/// struct Blind; // always predicts "no flip"
-/// impl BatchDecoder for Blind {
-///     fn decode_shot(&self, _d: &BitVec) -> BitVec {
-///         BitVec::zeros(1)
-///     }
-/// }
+/// // A blind decoder: always predicts "no flip".
+/// let blind = |shots: &BatchShots| BitMatrix::zeros(1, shots.num_shots());
 ///
 /// let model = FrameErrorModel::new(
 ///     1,
@@ -213,7 +210,7 @@ impl ChunkCounts {
 /// )
 /// .unwrap();
 /// let estimate =
-///     ParallelEstimator::new(EstimatorConfig::default()).estimate(&model, &Blind, 1, 20_000, 7);
+///     ParallelEstimator::new(EstimatorConfig::default()).estimate(&model, &blind, 1, 20_000, 7);
 /// assert_eq!(estimate.shots, 20_000);
 /// let (lo, hi) = estimate.wilson_overall();
 /// assert!(lo < 0.1 && 0.1 < hi, "true rate inside the Wilson interval");
@@ -258,7 +255,7 @@ impl ParallelEstimator {
         seed: u64,
     ) -> BatchEstimate
     where
-        D: BatchDecoder + Sync + ?Sized,
+        D: Fn(&BatchShots) -> BitMatrix + Sync + ?Sized,
     {
         self.estimate_timed(model, decoder, split_x, shots, seed).0
     }
@@ -282,7 +279,7 @@ impl ParallelEstimator {
         seed: u64,
     ) -> (BatchEstimate, PhaseTimings)
     where
-        D: BatchDecoder + Sync + ?Sized,
+        D: Fn(&BatchShots) -> BitMatrix + Sync + ?Sized,
     {
         assert!(shots > 0, "shots must be positive");
         let sampler = BatchSampler::new(model);
@@ -297,7 +294,7 @@ impl ParallelEstimator {
             let batch = sampler.sample(chunk_shots, &mut rng);
             let sample_ns = t.elapsed().as_nanos() as u64;
             let t = std::time::Instant::now();
-            let predictions = decoder.decode_batch(&batch);
+            let predictions = decoder(&batch);
             let decode_ns = t.elapsed().as_nanos() as u64;
             let t = std::time::Instant::now();
             let mut counts = score_chunk(&batch, &predictions, split_x, chunk_shots);
@@ -443,17 +440,10 @@ fn score_chunk(
 mod tests {
     use super::*;
     use crate::Mechanism;
-    use asynd_pauli::BitVec;
 
     /// Always predicts "no observable flipped".
-    struct Blind {
-        observables: usize,
-    }
-
-    impl BatchDecoder for Blind {
-        fn decode_shot(&self, _detectors: &BitVec) -> BitVec {
-            BitVec::zeros(self.observables)
-        }
+    fn blind(observables: usize) -> impl Fn(&BatchShots) -> BitMatrix + Sync {
+        move |shots| BitMatrix::zeros(observables, shots.num_shots())
     }
 
     fn two_block_model(p_x: f64, p_z: f64) -> FrameErrorModel {
@@ -472,7 +462,7 @@ mod tests {
     fn blind_decoder_failure_rates_match_mechanism_probabilities() {
         let model = two_block_model(0.02, 0.15);
         let estimator = ParallelEstimator::default();
-        let estimate = estimator.estimate(&model, &Blind { observables: 2 }, 1, 100_000, 3);
+        let estimate = estimator.estimate(&model, &blind(2), 1, 100_000, 3);
         assert_eq!(estimate.shots, 100_000);
         assert!((estimate.p_x() - 0.02).abs() < 0.005, "p_x {}", estimate.p_x());
         assert!((estimate.p_z() - 0.15).abs() < 0.01, "p_z {}", estimate.p_z());
@@ -498,10 +488,10 @@ mod tests {
             max_threads: Some(4),
             ..EstimatorConfig::default()
         });
-        let a = serial.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 42);
-        let b = parallel.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 42);
+        let a = serial.estimate(&model, &blind(2), 1, 30_000, 42);
+        let b = parallel.estimate(&model, &blind(2), 1, 30_000, 42);
         assert_eq!(a, b, "thread count must not change the estimate");
-        let c = serial.estimate(&model, &Blind { observables: 2 }, 1, 30_000, 43);
+        let c = serial.estimate(&model, &blind(2), 1, 30_000, 43);
         assert_ne!(a, c, "different seeds must change the sample");
     }
 
@@ -515,7 +505,7 @@ mod tests {
             chunks_per_wave: 2,
             ..EstimatorConfig::default()
         });
-        let estimate = estimator.estimate(&model, &Blind { observables: 2 }, 1, 1_000_000, 5);
+        let estimate = estimator.estimate(&model, &blind(2), 1, 1_000_000, 5);
         assert!(estimate.shots < 1_000_000, "early stop never triggered");
         assert!(estimate.shots >= 1024, "at least one wave must complete");
         assert!((estimate.p_overall() - 0.75).abs() < 0.1);
@@ -529,7 +519,7 @@ mod tests {
             ..EstimatorConfig::default()
         });
         // 250 shots = chunks of 100, 100, 50; p_x = 1 ⇒ every shot fails.
-        let estimate = estimator.estimate(&model, &Blind { observables: 2 }, 1, 250, 0);
+        let estimate = estimator.estimate(&model, &blind(2), 1, 250, 0);
         assert_eq!(estimate.shots, 250);
         assert_eq!(estimate.x_failures, 250);
         assert_eq!(estimate.z_failures, 0);

@@ -12,14 +12,13 @@
 //!   RNG*: geometric skip sampling for rare mechanisms and
 //!   binary-expansion Bernoulli masks for common ones, instead of one
 //!   `f64` draw per shot per mechanism.
-//! * [`BatchDecoder`] — batch decoding interface with a correct default
-//!   (unpack each shot) that word-parallel decoders can override.
 //! * [`ParallelEstimator`] — streams fixed-size chunks of shots through
 //!   sampler + decoder on a pool of worker threads with bounded memory,
 //!   sums failure counts (order-independent, so the result is identical
 //!   for any thread count) and reports [Wilson confidence
 //!   intervals](wilson_interval), optionally early-stopping when the
-//!   interval is tight.
+//!   interval is tight. The decoder is any `Fn(&BatchShots) -> BitMatrix`
+//!   that returns one prediction column per shot.
 //!
 //! # Determinism
 //!
@@ -31,8 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use asynd_pauli::BitVec;
-//! use asynd_sim::{BatchDecoder, FrameErrorModel, Mechanism, ParallelEstimator};
+//! use asynd_sim::{BatchShots, FrameErrorModel, Mechanism, ParallelEstimator};
 //!
 //! // A 1-detector, 1-observable toy model and a decoder that predicts a
 //! // flip exactly when the detector fired.
@@ -42,15 +40,9 @@
 //!     vec![Mechanism { probability: 0.2, detectors: vec![0], observables: vec![0] }],
 //! )
 //! .unwrap();
+//! let mirror = |shots: &BatchShots| shots.detectors.clone();
 //!
-//! struct Mirror;
-//! impl BatchDecoder for Mirror {
-//!     fn decode_shot(&self, detectors: &BitVec) -> BitVec {
-//!         detectors.clone()
-//!     }
-//! }
-//!
-//! let estimate = ParallelEstimator::default().estimate(&model, &Mirror, 1, 10_000, 1);
+//! let estimate = ParallelEstimator::default().estimate(&model, &mirror, 1, 10_000, 1);
 //! assert_eq!(estimate.any_failures, 0); // the mirror decoder is perfect here
 //! ```
 
@@ -58,13 +50,11 @@
 #![warn(missing_docs)]
 
 mod bitmatrix;
-mod decoder;
 mod estimator;
 mod model;
 mod sampler;
 
 pub use bitmatrix::{BitMatrix, WORD_BITS};
-pub use decoder::BatchDecoder;
 pub use estimator::{
     mix_seed, wilson_interval, BatchEstimate, EstimatorConfig, ParallelEstimator, PhaseTimings,
 };
