@@ -15,13 +15,14 @@ use super::{function_at, Finding, Rule, Severity};
 use crate::lexer::{Delim, TokenKind};
 use crate::model::SourceFile;
 
-/// Hot files: the reactor, fleet coordinator, server accept loop,
-/// client, and all of `crates/net`'s connection handling.
+/// Hot files: the reactor, fleet coordinator, server accept loop, v1
+/// line session, client, and all of `crates/net`'s connection handling.
 fn is_hot_file(path: &str) -> bool {
     path.starts_with("crates/net/src/")
         || path.ends_with("/reactor.rs")
         || path.ends_with("/fleet.rs")
         || path.ends_with("/server.rs")
+        || path.ends_with("/session.rs")
         || path.ends_with("/client.rs")
 }
 

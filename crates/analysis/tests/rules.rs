@@ -133,6 +133,18 @@ fn panic_rule_is_scoped_to_hot_files() {
 }
 
 #[test]
+fn panic_rule_covers_the_v1_line_session() {
+    // The v1 session decodes every peer line of both transports.
+    let found = findings_for(
+        "panic-in-hot-path",
+        "panic_detect.rs",
+        "crates/server/src/session.rs",
+        "asynd-server",
+    );
+    assert!(found.len() >= 3, "{found:?}");
+}
+
+#[test]
 fn panic_clean_patterns_and_suppressions_pass() {
     let found =
         findings_for("panic-in-hot-path", "panic_clean.rs", "crates/net/src/conn.rs", "asynd-net");

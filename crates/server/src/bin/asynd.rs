@@ -61,8 +61,7 @@ use asynd_server::sweep::{
     canonical_report_value, validate_report_text, SweepConfig, SweepOptions,
 };
 use asynd_server::{
-    serve_lines, serve_tcp_with, Client, MetricsClient, ReactorOptions, ScheduleServer,
-    ServerConfig,
+    serve_lines, serve_tcp_with, Client, ClientError, ReactorOptions, ScheduleServer, ServerConfig,
 };
 use asynd_telemetry::EventLog;
 
@@ -297,23 +296,29 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
     // One connection for the whole watch: the client reconnects only
     // after a reported failure, not on every poll.
-    let mut client = MetricsClient::new(addr);
+    let mut client = Client::new(addr.clone());
     loop {
-        let response = match client.scrape() {
-            Ok(response) => response,
-            // In watch mode a lost server is a condition to report and
-            // retry, not a reason to tear the watch down.
-            Err(message) if watch => {
+        let (snapshot, tenants) = match client.metrics("asynd-metrics") {
+            Ok(scrape) => scrape,
+            Err(ClientError::Server { error, .. }) => {
+                return Err(format!("metrics: server said: {error}"))
+            }
+            Err(e) => {
+                let message = match e {
+                    ClientError::Transport(reason) if reason.starts_with("cannot connect") => {
+                        reason
+                    }
+                    other => format!("metrics connection to {addr} lost: {other} (will reconnect)"),
+                };
+                if !watch {
+                    return Err(format!("metrics: {message}"));
+                }
+                // In watch mode a lost server is a condition to report
+                // and retry, not a reason to tear the watch down.
                 eprintln!("asynd: metrics: {message}");
                 std::thread::sleep(Duration::from_secs_f64(interval));
                 continue;
             }
-            Err(message) => return Err(format!("metrics: {message}")),
-        };
-        let (snapshot, tenants) = match response {
-            Response::Metrics { snapshot, tenants, .. } => (snapshot, tenants),
-            Response::Error { error, .. } => return Err(format!("metrics: server said: {error}")),
-            other => return Err(format!("metrics: unexpected response: {other:?}")),
         };
         let mut stdout = std::io::stdout().lock();
         if watch {

@@ -1,8 +1,8 @@
 //! The typed client layer of the serving stack: one implementation of
 //! connect, wire-protocol framing, request/response correlation and
 //! timeouts, shared by every client-side consumer — `asynd submit`,
-//! `asynd metrics --watch` ([`MetricsClient`]), the load generator
-//! ([`crate::loadgen`]) and the distributed sweep coordinator
+//! `asynd metrics --watch` (one [`Client`] held across scrapes), the load
+//! generator ([`crate::loadgen`]) and the distributed sweep coordinator
 //! ([`crate::fleet`]).
 //!
 //! The layer splits in two:
@@ -588,47 +588,6 @@ fn response_id(response: &Response) -> Option<&str> {
         Response::Pong | Response::ShuttingDown => return None,
     };
     (!id.is_empty()).then_some(id)
-}
-
-/// A metrics scraper that keeps one TCP connection across polls.
-///
-/// The watch loop of `asynd metrics --watch` used to open (and
-/// half-close) a fresh connection per scrape, which both spams the
-/// server's accept path and hides connection problems until the next
-/// poll. Built on [`Client`]: connects lazily, reuses the connection
-/// for every scrape, and on any transport error drops it and reports —
-/// the next scrape transparently reconnects.
-pub struct MetricsClient {
-    client: Client,
-}
-
-impl MetricsClient {
-    /// A client for the server at `addr` (`host:port`). Nothing
-    /// connects until the first [`MetricsClient::scrape`].
-    pub fn new(addr: impl Into<String>) -> MetricsClient {
-        MetricsClient { client: Client::new(addr) }
-    }
-
-    /// Whether a connection is currently established.
-    pub fn connected(&self) -> bool {
-        self.client.connected()
-    }
-
-    /// One scrape: sends a `metrics` probe and reads the response,
-    /// reusing the existing connection when there is one.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on connect failure, transport error, or a
-    /// server-side close; the broken connection is dropped so the next
-    /// call reconnects.
-    pub fn scrape(&mut self) -> Result<Response, String> {
-        let addr = self.client.addr().to_string();
-        self.client.call(&Request::Metrics("asynd-metrics".to_string())).map_err(|e| match e {
-            ClientError::Transport(reason) if reason.starts_with("cannot connect") => reason,
-            other => format!("metrics connection to {addr} lost: {other} (will reconnect)"),
-        })
-    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,11 @@
 //!   the memoisation cache; the tenant's evaluation-seed salt is derived
 //!   from the tenant key, so cached estimates are a pure function of the
 //!   schedule no matter which job or worker computed them first.
-//! * [`protocol`] — the JSON-lines request/response wire format, spoken
-//!   over stdin/stdout ([`serve_lines`]) and `std::net` TCP
-//!   ([`serve_tcp`], `asynd serve --tcp`).
+//! * [`protocol`] — the request/response wire format: v1 JSON lines,
+//!   spoken over stdin/stdout ([`serve_lines`]) and TCP, and framed v2,
+//!   spoken over TCP ([`serve_tcp`], `asynd serve --tcp`, which detects
+//!   the protocol per connection). Both v1 transports drive one sans-IO
+//!   session core, so they answer alike.
 //! * [`sweep`] — the catalog-wide scenario runner behind `asynd sweep`:
 //!   every registered code family × an error-rate grid, fanned out over
 //!   rayon, emitting a machine-readable `BENCH_sweep.json`.
@@ -72,10 +74,11 @@ pub mod protocol;
 mod queue;
 pub mod reactor;
 mod server;
+mod session;
 pub mod sweep;
 mod tenants;
 
-pub use client::{Client, ClientError, ClientOptions, MetricsClient, WireProtocol};
+pub use client::{Client, ClientError, ClientOptions, WireProtocol};
 pub use queue::{ShardedQueue, WakeupStats};
 pub use reactor::{serve_tcp_with, ReactorOptions};
 pub use server::{serve_lines, serve_tcp, JobHandle, ScheduleServer, ServerConfig};
@@ -94,7 +97,7 @@ pub enum ServerError {
         reason: String,
     },
     /// A structurally valid request the server refuses to run (unknown
-    /// family, out-of-range index, oversized budget, full queue).
+    /// family, out-of-range index, oversized budget, shutting down).
     Rejected {
         /// Why the job was refused.
         reason: String,

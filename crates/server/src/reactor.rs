@@ -18,14 +18,14 @@
 //!
 //! The wire protocol is autodetected per connection from the first byte:
 //! [`FRAME_MAGIC`] selects framed protocol v2, anything else the v1
-//! JSON-lines protocol. v1 semantics are byte-compatible with the
-//! historical thread-per-connection server (and with [`serve_lines`]):
-//! probes and protocol errors are answered immediately, job responses
-//! strictly in submission order, `shutdown` drains pending jobs, acks
-//! and stops the whole server. v2 frames job responses by id instead of
-//! by order, streams [`ProgressUpdate`] lifecycle events, and supports
-//! client-initiated cancellation of queued jobs (running jobs complete;
-//! see [`CancelRequest`]).
+//! JSON-lines protocol. A v1 connection runs the same sans-IO
+//! `LineSession` that [`serve_lines`] drives over stdio, so both
+//! transports answer alike: probes and protocol errors immediately, job
+//! responses strictly in submission order, and `shutdown` drains pending
+//! jobs, acks and stops the whole server. v2 frames job responses by id
+//! instead of by order, streams [`ProgressUpdate`] lifecycle events, and
+//! supports client-initiated cancellation of queued jobs (running jobs
+//! complete; see [`CancelRequest`]).
 //!
 //! # Backpressure
 //!
@@ -54,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use asynd_net::frame::{Frame, FrameDecoder, FrameKind, FRAME_MAGIC};
+use asynd_net::frame::{Frame, FrameDecoder, FrameKind, FRAME_MAGIC, MAX_FRAME_PAYLOAD};
 use asynd_net::{wake_pair, Connection, Interest, PollEvent, PollSet, WakeReceiver, Waker};
 use asynd_telemetry::{labeled, Counter, Gauge, MetricsRegistry};
 use serde_json::{Map, Value};
@@ -62,7 +62,7 @@ use serde_json::{Map, Value};
 use crate::lock_unpoisoned;
 use crate::protocol::{CancelRequest, ProgressUpdate, Request, Response};
 use crate::server::{JobSink, QueuedJob, ScheduleServer, JOB_CANCELLED, JOB_QUEUED};
-use crate::ServerError;
+use crate::session::LineSession;
 
 /// Outbound bytes above which a connection stops being read (write
 /// backpressure engages).
@@ -391,7 +391,7 @@ impl Reactor<'_> {
     fn sweep(&mut self) {
         let mut dead: Vec<u64> = Vec::new();
         for (&token, conn) in self.conns.iter_mut() {
-            if conn.broken || !conn.maintenance(token, &self.ctx) {
+            if conn.broken || !conn.maintenance(&self.ctx) {
                 dead.push(token);
             }
         }
@@ -420,29 +420,9 @@ enum Proto {
     /// Nothing received yet.
     Unknown,
     /// JSON-lines (the v1 protocol).
-    V1(V1State),
+    V1(LineSession),
     /// Framed protocol v2.
     V2(V2State),
-}
-
-/// v1 bookkeeping: job responses are emitted strictly in submission
-/// order, so finished-out-of-order responses park in `ready` until their
-/// turn.
-struct V1State {
-    /// Sequence number handed to the next submitted job.
-    next_seq: u64,
-    /// Sequence number whose response is emitted next.
-    emit_seq: u64,
-    /// Finished jobs waiting for their emission turn.
-    ready: BTreeMap<u64, Response>,
-    /// The peer sent `{"op":"shutdown"}`: drain, ack, stop the server.
-    shutdown_requested: bool,
-}
-
-impl V1State {
-    fn new() -> V1State {
-        V1State { next_seq: 0, emit_seq: 0, ready: BTreeMap::new(), shutdown_requested: false }
-    }
 }
 
 /// v2 bookkeeping: responses are keyed by job id (no ordering
@@ -511,17 +491,6 @@ impl Conn {
         }
     }
 
-    /// The v1 protocol state, when this connection negotiated v1.
-    /// `None` on a v2 or undecided connection — callers bail out rather
-    /// than assert, so a protocol-state mixup degrades to a dropped
-    /// message instead of a reactor panic.
-    fn v1_mut(&mut self) -> Option<&mut V1State> {
-        match &mut self.proto {
-            Proto::V1(v1) => Some(v1),
-            Proto::Unknown | Proto::V2(_) => None,
-        }
-    }
-
     /// The v2 protocol state, when this connection negotiated v2.
     fn v2_mut(&mut self) -> Option<&mut V2State> {
         match &mut self.proto {
@@ -538,7 +507,7 @@ impl Conn {
             || self.dying
             || match &self.proto {
                 Proto::Unknown => false,
-                Proto::V1(v1) => v1.shutdown_requested,
+                Proto::V1(session) => session.shutdown_requested(),
                 Proto::V2(v2) => v2.shutdown_requested || v2.goodbye_sent || v2.peer_goodbye,
             }
     }
@@ -549,7 +518,7 @@ impl Conn {
             match self.io.rbuf().first().copied() {
                 None => return,
                 Some(FRAME_MAGIC) => self.proto = Proto::V2(V2State::new()),
-                Some(_) => self.proto = Proto::V1(V1State::new()),
+                Some(_) => self.proto = Proto::V1(LineSession::default()),
             }
         }
         match self.proto {
@@ -563,63 +532,20 @@ impl Conn {
 
     fn process_v1(&mut self, token: u64, ctx: &Ctx) {
         loop {
-            if let Proto::V1(v1) = &self.proto {
-                if v1.shutdown_requested {
-                    // Like serve_lines: nothing after shutdown is read.
-                    self.io.rbuf().clear();
-                    return;
-                }
-            }
+            let Proto::V1(session) = &mut self.proto else { return };
             let Some(line) = take_line(&mut self.io) else { return };
-            self.process_v1_line(&line, token, ctx);
-        }
-    }
-
-    fn process_v1_line(&mut self, line: &[u8], token: u64, ctx: &Ctx) {
-        let parsed = match std::str::from_utf8(line) {
-            Ok(text) => {
-                let line = text.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
-                    return;
-                }
-                Request::parse(line)
-            }
-            Err(_) => {
-                Err(ServerError::Protocol { reason: "request line is not valid UTF-8".to_string() })
-            }
-        };
-        match parsed {
-            Ok(Request::Synthesize(request)) => {
-                let seq = {
-                    let Some(v1) = self.v1_mut() else { return };
-                    let seq = v1.next_seq;
-                    v1.next_seq += 1;
-                    seq
-                };
-                let sink = ReactorSink {
-                    events: Arc::clone(&ctx.events),
-                    waker: Arc::clone(&ctx.waker),
-                    conn: token,
-                    seq,
-                    id: request.id.clone(),
-                    want_progress: false,
-                };
-                let job = QueuedJob::new(request, JobSink::Reactor(sink));
-                self.states.push(Arc::clone(&job.state));
-                self.submit_or_defer(job, ctx);
-            }
-            Ok(Request::Lookup(request)) => queue_line(&mut self.io, &ctx.server.lookup(&request)),
-            Ok(Request::Metrics(id)) => queue_line(&mut self.io, &ctx.server.metrics(&id)),
-            Ok(Request::Ping) => queue_line(&mut self.io, &Response::Pong),
-            Ok(Request::Shutdown) => {
-                if let Some(v1) = self.v1_mut() {
-                    v1.shutdown_requested = true;
-                }
-            }
-            Err(e) => queue_line(
-                &mut self.io,
-                &Response::Error { id: String::new(), error: e.to_string() },
-            ),
+            let Some((seq, request)) = session.line(&line, ctx.server) else { continue };
+            let sink = ReactorSink {
+                events: Arc::clone(&ctx.events),
+                waker: Arc::clone(&ctx.waker),
+                conn: token,
+                seq,
+                id: request.id.clone(),
+                want_progress: false,
+            };
+            let job = QueuedJob::new(request, JobSink::Reactor(sink));
+            self.states.push(Arc::clone(&job.state));
+            self.submit_or_defer(job, ctx);
         }
     }
 
@@ -810,9 +736,7 @@ impl Conn {
     fn on_done(&mut self, seq: u64, id: &str, response: Response) {
         match &mut self.proto {
             Proto::Unknown => {}
-            Proto::V1(v1) => {
-                v1.ready.insert(seq, response);
-            }
+            Proto::V1(session) => session.done(seq, response),
             Proto::V2(v2) => {
                 v2.jobs.remove(id);
                 v2.inflight = v2.inflight.saturating_sub(1);
@@ -831,19 +755,13 @@ impl Conn {
 
     /// Returns `false` when the connection is finished and should be
     /// dropped.
-    fn maintenance(&mut self, _token: u64, ctx: &Ctx) -> bool {
+    fn maintenance(&mut self, ctx: &Ctx) -> bool {
         self.retry_deferred(ctx);
-        // v1: emit finished responses in submission order; once drained,
-        // ack a requested shutdown.
-        if let Proto::V1(v1) = &mut self.proto {
-            while let Some(response) = v1.ready.remove(&v1.emit_seq) {
+        // v1: write what the session owes; the shutdown ack comes last.
+        if let Proto::V1(session) = &mut self.proto {
+            while let Some(response) = session.next_due() {
+                self.shutdown_acked |= response == Response::ShuttingDown;
                 queue_line(&mut self.io, &response);
-                v1.emit_seq += 1;
-            }
-            let drained = v1.emit_seq == v1.next_seq && self.deferred.is_empty();
-            if v1.shutdown_requested && drained && !self.shutdown_acked {
-                queue_line(&mut self.io, &Response::ShuttingDown);
-                self.shutdown_acked = true;
             }
         }
         if let Proto::V2(v2) = &mut self.proto {
@@ -891,7 +809,7 @@ impl Conn {
             let drained = self.deferred.is_empty()
                 && match &self.proto {
                     Proto::Unknown => true,
-                    Proto::V1(v1) => v1.emit_seq == v1.next_seq,
+                    Proto::V1(session) => session.drained(),
                     Proto::V2(v2) => v2.inflight == 0,
                 };
             if drained && flushed {
@@ -938,16 +856,21 @@ fn trigger_shutdown(ctx: &Ctx) {
     }
 }
 
-/// Extracts the next input line (newline-terminated, or the unterminated
-/// tail once the peer has EOF'd — serve_lines processes that too).
+/// Cuts the next v1 input piece off the inbound buffer, as
+/// [`serve_lines`](crate::serve_lines) does on stdio: up to the first
+/// newline, or `MAX_FRAME_PAYLOAD + 1` bytes of a longer line (which the
+/// session refuses), or the unterminated tail once the peer has EOF'd.
 fn take_line(io: &mut Connection) -> Option<Vec<u8>> {
-    if let Some(pos) = io.rbuf().iter().position(|&b| b == b'\n') {
-        return Some(io.rbuf().drain(..=pos).collect());
-    }
-    if io.read_closed() && !io.rbuf().is_empty() {
-        return Some(std::mem::take(io.rbuf()));
-    }
-    None
+    let cap = MAX_FRAME_PAYLOAD + 1;
+    let closed = io.read_closed();
+    let rbuf = io.rbuf();
+    let end = match rbuf.iter().take(cap).position(|&b| b == b'\n') {
+        Some(pos) => pos + 1,
+        None if rbuf.len() >= cap => cap,
+        None if closed && !rbuf.is_empty() => rbuf.len(),
+        None => return None,
+    };
+    Some(rbuf.drain(..end).collect())
 }
 
 /// Queues one v1 JSON line.

@@ -2,7 +2,8 @@
 //! by a worker thread pool, executing synthesis jobs through the
 //! portfolio engine over per-tenant shared evaluators.
 
-use std::io::{BufRead, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{mpsc, Arc};
@@ -11,6 +12,7 @@ use std::time::Instant;
 
 use asynd_circuit::artifact::ScheduleArtifact;
 use asynd_circuit::Schedule;
+use asynd_net::frame::MAX_FRAME_PAYLOAD;
 use asynd_portfolio::{
     AnnealingSynthesizer, BeamSearchSynthesizer, LowestDepthSynthesizer, MctsSynthesizer,
     Portfolio, PortfolioConfig,
@@ -20,11 +22,12 @@ use asynd_telemetry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapsho
 use serde_json::Value;
 
 use crate::protocol::{
-    JobOutcome, JobRequest, LookupRequest, ProgressUpdate, Request, Response, StrategyChoice,
+    JobOutcome, JobRequest, LookupRequest, ProgressUpdate, Response, StrategyChoice,
     StrategySummary,
 };
 use crate::queue::ShardedQueue;
 use crate::reactor::{serve_tcp_with, ReactorOptions, ReactorSink};
+use crate::session::LineSession;
 use crate::tenants::TenantMap;
 use crate::ServerError;
 
@@ -404,27 +407,6 @@ impl ScheduleServer {
         Ok(JobHandle { id, rx })
     }
 
-    /// Submits a job without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServerError::Rejected`] when the queue is at capacity
-    /// (the bounded-queue refusal callers retry against) or the server is
-    /// shutting down.
-    pub fn try_submit(&self, request: JobRequest) -> Result<JobHandle, ServerError> {
-        let (tx, rx) = mpsc::channel();
-        let id = request.id.clone();
-        self.shared.queue.try_push(QueuedJob::new(request, JobSink::Channel(tx))).map_err(
-            |_| {
-                self.shared.metrics.jobs_rejected.inc();
-                ServerError::Rejected { reason: "job queue is full".into() }
-            },
-        )?;
-        self.shared.metrics.jobs_submitted.inc();
-        self.shared.metrics.queue_depth.add(1);
-        Ok(JobHandle { id, rx })
-    }
-
     /// Enqueues a reactor-built job on `shard` without blocking — the
     /// reactor path, which must never park its event loop on a full
     /// queue. The reactor defers the job and retries instead of
@@ -654,9 +636,10 @@ fn try_execute_job(
     })
 }
 
-/// Speaks the JSON-lines protocol over an arbitrary reader/writer pair —
-/// the stdio transport of `asynd serve`, and the per-connection loop of
-/// the TCP transport.
+/// Speaks the v1 JSON-lines protocol over an arbitrary reader/writer
+/// pair — the stdio transport of `asynd serve` and `asynd submit`. A
+/// blocking driver of the same session core the reactor runs for each
+/// v1 TCP connection, so both transports answer alike.
 ///
 /// Job responses are written in submission order (the determinism
 /// contract's framing guarantee); already-finished jobs are flushed
@@ -669,100 +652,49 @@ fn try_execute_job(
 /// # Errors
 ///
 /// Returns the first transport I/O error. *Protocol* errors — malformed
-/// JSON, unknown ops, even request lines that are not valid UTF-8 — are
-/// answered with a structured error response on the stream and never
-/// abort it, so one garbage line cannot tear down a connection and the
-/// pipelined jobs behind it.
+/// JSON, unknown ops, request lines that are not valid UTF-8 or longer
+/// than [`MAX_FRAME_PAYLOAD`] — are answered with a structured error
+/// response on the stream and never abort it, so one garbage line cannot
+/// tear down a connection and the pipelined jobs behind it.
 pub fn serve_lines(
     mut reader: impl BufRead,
     mut writer: impl Write,
     server: &ScheduleServer,
 ) -> std::io::Result<bool> {
-    let mut pending: std::collections::VecDeque<JobHandle> = std::collections::VecDeque::new();
-    let mut shutdown = false;
+    let mut session = LineSession::default();
+    let mut pending: VecDeque<(u64, JobHandle)> = VecDeque::new();
     let mut raw: Vec<u8> = Vec::new();
-    loop {
+    while !session.shutdown_requested() {
         raw.clear();
-        if reader.read_until(b'\n', &mut raw)? == 0 {
+        // A line without a newline is cut one byte past the cap, so it
+        // cannot grow `raw` without bound; the session refuses the piece.
+        let cap = MAX_FRAME_PAYLOAD as u64 + 1;
+        if reader.by_ref().take(cap).read_until(b'\n', &mut raw)? == 0 {
             break;
         }
-        let parsed = match std::str::from_utf8(&raw) {
-            Ok(text) => {
-                let line = text.trim_end_matches(['\n', '\r']);
-                if line.trim().is_empty() {
-                    continue;
-                }
-                Request::parse(line)
-            }
-            // `BufRead::lines` would have surfaced this as an I/O error
-            // and killed the whole connection; a byte-level read keeps
-            // the transport alive and answers in-band instead.
-            Err(_) => {
-                Err(ServerError::Protocol { reason: "request line is not valid UTF-8".to_string() })
-            }
-        };
-        match parsed {
-            Ok(Request::Synthesize(request)) => {
-                let id = request.id.clone();
-                match server.submit(request) {
-                    Ok(handle) => pending.push_back(handle),
-                    Err(e) => {
-                        writeln!(
-                            writer,
-                            "{}",
-                            Response::Error { id, error: e.to_string() }.to_json()
-                        )?;
-                        writer.flush()?;
-                    }
-                }
-            }
-            Ok(Request::Lookup(request)) => {
-                writeln!(writer, "{}", server.lookup(&request).to_json())?;
-                writer.flush()?;
-            }
-            Ok(Request::Metrics(id)) => {
-                writeln!(writer, "{}", server.metrics(&id).to_json())?;
-                writer.flush()?;
-            }
-            Ok(Request::Ping) => {
-                writeln!(writer, "{}", Response::Pong.to_json())?;
-                writer.flush()?;
-            }
-            Ok(Request::Shutdown) => {
-                shutdown = true;
-                break;
-            }
-            Err(e) => {
-                writeln!(
-                    writer,
-                    "{}",
-                    Response::Error { id: String::new(), error: e.to_string() }.to_json()
-                )?;
-                writer.flush()?;
+        if let Some((seq, request)) = session.line(&raw, server) {
+            let id = request.id.clone();
+            match server.submit(request) {
+                Ok(handle) => pending.push_back((seq, handle)),
+                Err(e) => session.done(seq, Response::Error { id, error: e.to_string() }),
             }
         }
-        // Stream any responses that are already done, oldest first, so a
-        // long-lived session sees results without waiting for EOF.
-        while let Some(front) = pending.front() {
-            match front.poll() {
-                Some(response) => {
-                    writeln!(writer, "{}", response.to_json())?;
-                    writer.flush()?;
-                    pending.pop_front();
-                }
-                None => break,
+        // Stream the responses that are already done, oldest first.
+        while let Some(response) = pending.front().and_then(|(_, handle)| handle.poll()) {
+            if let Some((seq, _)) = pending.pop_front() {
+                session.done(seq, response);
             }
         }
+        write_due(&mut session, &mut writer)?;
     }
+    let shutdown = session.shutdown_requested();
     let finish = move || -> std::io::Result<()> {
-        for handle in pending {
-            let response = handle.wait();
-            writeln!(writer, "{}", response.to_json())?;
+        for (seq, handle) in pending {
+            session.done(seq, handle.wait());
+            write_due(&mut session, &mut writer)?;
         }
-        if shutdown {
-            writeln!(writer, "{}", Response::ShuttingDown.to_json())?;
-        }
-        writer.flush()
+        // The shutdown ack, when one is owed.
+        write_due(&mut session, &mut writer)
     };
     match finish() {
         Ok(()) => {}
@@ -773,6 +705,14 @@ pub fn serve_lines(
         Err(e) => return Err(e),
     }
     Ok(shutdown)
+}
+
+/// Writes every response the session owes, then flushes.
+fn write_due(session: &mut LineSession, writer: &mut impl Write) -> std::io::Result<()> {
+    while let Some(response) = session.next_due() {
+        writeln!(writer, "{}", response.to_json())?;
+    }
+    writer.flush()
 }
 
 /// Serves both wire protocols over TCP on a single-reactor event loop —

@@ -1,14 +1,13 @@
-//! `MetricsClient` (the engine of `asynd metrics --watch`) must reuse
-//! one TCP connection across polls — the reactor's per-reactor accept
-//! counter is the witness — and must surface a clean, reconnectable
-//! error when the server goes away.
+//! The `Client` that `asynd metrics --watch` holds across polls must
+//! reuse one TCP connection for every scrape — the reactor's
+//! per-reactor accept counter is the witness — and must surface a
+//! clean, reconnectable error when the server goes away.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use asynd_server::protocol::Response;
-use asynd_server::{serve_tcp, MetricsClient, ScheduleServer, ServerConfig};
+use asynd_server::{serve_tcp, Client, ScheduleServer, ServerConfig};
 use asynd_telemetry::MetricsRegistry;
 
 #[test]
@@ -25,12 +24,11 @@ fn watch_scrapes_share_one_connection() {
         let server_ref = &server;
         let acceptor = scope.spawn(move || serve_tcp(server_ref, listener));
 
-        let mut client = MetricsClient::new(address.to_string());
+        let mut client = Client::new(address.to_string());
         assert!(!client.connected(), "nothing connects before the first scrape");
         for scrape in 0..3 {
-            match client.scrape() {
-                Ok(Response::Metrics { .. }) => {}
-                other => panic!("scrape {scrape} failed: {other:?}"),
+            if let Err(e) = client.metrics("asynd-metrics") {
+                panic!("scrape {scrape} failed: {e}");
             }
             assert!(client.connected());
         }
@@ -62,8 +60,10 @@ fn a_lost_server_yields_a_reconnect_hint_not_a_wedged_client() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let address = listener.local_addr().unwrap().to_string();
     drop(listener);
-    let mut client = MetricsClient::new(address.clone());
-    let error = client.scrape().expect_err("scrape against a dead server must fail");
+    let mut client = Client::new(address.clone());
+    let error =
+        client.metrics("asynd-metrics").expect_err("scrape against a dead server must fail");
+    let error = error.to_string();
     assert!(error.contains(&address), "error does not name the address: {error}");
     assert!(!client.connected(), "a failed scrape must drop the connection");
 }

@@ -244,6 +244,9 @@ fn cancellation_interleaves_with_pipelined_jobs() {
         // or cancel-unknown if it finished in the round-trip window —
         // and the job still completes normally.
         stream.write_all(&request_frame(&synthesize_json("c-4", 32))).unwrap();
+        // Every frame read along the way is kept: c-4 may finish inside
+        // the same read that carries its `started` event.
+        let mut late_frames: Vec<Frame> = Vec::new();
         let mut started = false;
         while !started {
             let n = stream.read(&mut buf).expect("read from server");
@@ -256,10 +259,10 @@ fn cancellation_interleaves_with_pipelined_jobs() {
                         started = true;
                     }
                 }
+                late_frames.push(frame);
             }
         }
         stream.write_all(&cancel("c-4")).unwrap();
-        let mut late_frames: Vec<Frame> = Vec::new();
         let ack = wait_for_ack(&mut stream, &mut decoder, "c-4", &mut late_frames);
         assert!(ack == "cancel-too-late" || ack == "cancel-unknown", "running job acked {ack:?}");
         let mut c4_ok = late_frames
