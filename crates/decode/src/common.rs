@@ -16,13 +16,6 @@ pub enum DecoderError {
         /// Number of observables in the DEM.
         found: usize,
     },
-    /// The DEM contains an error mechanism whose detector count is not
-    /// supported by the decoder (e.g. MWPM needs at most 2 after
-    /// decomposition).
-    UnsupportedHyperedge {
-        /// Number of detectors of the offending mechanism.
-        detectors: usize,
-    },
 }
 
 impl fmt::Display for DecoderError {
@@ -32,12 +25,6 @@ impl fmt::Display for DecoderError {
                 write!(
                     f,
                     "detector error model has {found} observables, more than the supported 64"
-                )
-            }
-            DecoderError::UnsupportedHyperedge { detectors } => {
-                write!(
-                    f,
-                    "error mechanism touches {detectors} detectors, unsupported by this decoder"
                 )
             }
         }
@@ -127,11 +114,6 @@ impl DecodeMatrix {
         &self.rows[d]
     }
 
-    /// Prior probability of error `j`.
-    pub fn prior(&self, j: usize) -> f64 {
-        self.priors[j]
-    }
-
     /// Prior log-likelihood ratio `ln((1-p)/p)` of error `j`.
     pub fn prior_llr(&self, j: usize) -> f64 {
         ((1.0 - self.priors[j]) / self.priors[j]).ln()
@@ -181,11 +163,6 @@ impl<D: asynd_circuit::ObservableDecoder> CachedDecoder<D> {
     /// Wraps a decoder with a memoisation cache.
     pub fn new(inner: D) -> Self {
         CachedDecoder { inner, cache: std::sync::Mutex::new(std::collections::HashMap::new()) }
-    }
-
-    /// Gives back the wrapped decoder.
-    pub fn into_inner(self) -> D {
-        self.inner
     }
 }
 

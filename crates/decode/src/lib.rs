@@ -11,7 +11,7 @@
 //!
 //! | Paper decoder | This crate |
 //! |---|---|
-//! | MWPM (PyMatching / sparse blossom) | [`MwpmDecoder`] — Dijkstra distances on the matching graph, exact bitmask matching for small defect sets, greedy fallback |
+//! | MWPM (PyMatching / sparse blossom) | [`MwpmDecoder`] — shortest-path table built once per DEM (one Dijkstra per detector), exact bitmask matching for small defect sets, greedy fallback |
 //! | Hypergraph union-find | [`UnionFindDecoder`] — cluster growth on the DEM Tanner graph with GF(2) validity checks |
 //! | BP-OSD | [`BpOsdDecoder`] — min-sum belief propagation followed by ordered-statistics post-processing |
 //!
@@ -20,9 +20,11 @@
 //! single-defect shots in bulk and calls `decode` once per multi-defect
 //! ("hard") shot: one matching, one cluster growth, or scalar min-sum BP
 //! followed by OSD when BP does not converge (a 64-lane BP pass over the
-//! hard shots measured 1.2–1.4× slower; EXPERIMENTS.md). Every factory
-//! wraps its decoder in [`CachedDecoder`], so a syndrome repeated within
-//! or across batches is decoded once.
+//! hard shots measured 1.2–1.4× slower; EXPERIMENTS.md). The BP-OSD and
+//! union-find factories wrap their decoders in [`CachedDecoder`], so a
+//! syndrome repeated within or across batches is decoded once. The MWPM
+//! factory returns the bare decoder: a matching read off its shortest-path
+//! table costs about as much as a cache lookup.
 //!
 //! # Example
 //!

@@ -1,12 +1,10 @@
 //! Minimum-weight perfect-matching decoder over detector error models.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
 use asynd_pauli::BitVec;
-
-use crate::common::CachedDecoder;
 
 /// An edge of the matching graph.
 #[derive(Debug, Clone, Copy)]
@@ -25,11 +23,13 @@ struct MatchEdge {
 /// into existing edges when possible — the same strategy PyMatching applies
 /// to stim's decomposed DEMs. Edge weights are `ln((1-p)/p)`.
 ///
-/// Decoding computes all-pairs shortest paths between the defects (and the
-/// boundary) with Dijkstra, then finds a minimum-weight perfect matching:
-/// exactly (bitmask dynamic programming) for up to 20 defects and greedily
-/// beyond that. The prediction is the XOR of the observable masks along the
-/// matched shortest paths.
+/// Construction runs Dijkstra once from every detector and keeps the
+/// shortest-path table; the graph itself is dropped. Decoding looks the
+/// distances between the defects (and to the boundary) up in that table,
+/// then finds a minimum-weight perfect matching: exactly (bitmask dynamic
+/// programming) for up to 20 defects and greedily beyond that. The
+/// prediction is the XOR of the observable masks along the matched shortest
+/// paths.
 ///
 /// # Example
 ///
@@ -49,10 +49,21 @@ struct MatchEdge {
 pub struct MwpmDecoder {
     num_detectors: usize,
     num_observables: usize,
-    /// Adjacency list; node `num_detectors` is the virtual boundary.
-    adjacency: Vec<Vec<MatchEdge>>,
+    /// Shortest paths from each detector `a` to every node `b > a`, the
+    /// boundary (node `num_detectors`) last, rows concatenated in detector
+    /// order. Defects are matched in increasing order, so the matching never
+    /// reads a path from a higher node to a lower one.
+    paths: Vec<Path>,
     /// Exact-matching cutoff (number of defects).
     exact_limit: usize,
+}
+
+/// A shortest path of the matching graph: its length and the XOR of the
+/// observable masks along it. An unreachable node has infinite length.
+#[derive(Debug, Clone, Copy)]
+struct Path {
+    dist: f64,
+    observables: u64,
 }
 
 /// Max-heap entry for Dijkstra (reversed ordering on weight).
@@ -85,7 +96,7 @@ impl Ord for HeapEntry {
 }
 
 impl MwpmDecoder {
-    /// Builds the matching graph from a DEM.
+    /// Builds the matching graph of a DEM and its shortest-path table.
     ///
     /// # Panics
     ///
@@ -112,7 +123,7 @@ impl MwpmDecoder {
             }
         }
         // Second pass: decompose hyperedges into existing edges when possible.
-        let existing: Vec<(usize, usize)> = edges.keys().copied().collect();
+        let existing: HashSet<(usize, usize)> = edges.keys().copied().collect();
         for error in dem.errors() {
             if error.detectors.len() <= 2 {
                 continue;
@@ -132,47 +143,41 @@ impl MwpmDecoder {
             adjacency[a].push(MatchEdge { to: b, weight, observables: mask });
             adjacency[b].push(MatchEdge { to: a, weight, observables: mask });
         }
+
+        let nodes = boundary + 1;
+        let mut paths = Vec::with_capacity(nodes * boundary / 2);
+        let mut dist = vec![f64::INFINITY; nodes];
+        let mut mask = vec![0u64; nodes];
+        let mut heap = BinaryHeap::new();
+        for source in 0..boundary {
+            shortest_paths(&adjacency, source, &mut dist, &mut mask, &mut heap);
+            paths.extend(
+                dist[source + 1..]
+                    .iter()
+                    .zip(&mask[source + 1..])
+                    .map(|(&dist, &observables)| Path { dist, observables }),
+            );
+        }
         MwpmDecoder {
             num_detectors: dem.num_detectors(),
             num_observables: dem.num_observables(),
-            adjacency,
+            paths,
             exact_limit: 20,
         }
     }
 
-    /// Number of nodes including the virtual boundary.
-    fn num_nodes(&self) -> usize {
-        self.num_detectors + 1
-    }
-
-    /// Dijkstra from `source`, returning per-node distance and accumulated
-    /// observable mask along a shortest path.
-    fn shortest_paths(&self, source: usize) -> (Vec<f64>, Vec<u64>) {
-        let mut dist = vec![f64::INFINITY; self.num_nodes()];
-        let mut mask = vec![0u64; self.num_nodes()];
-        let mut heap = BinaryHeap::new();
-        dist[source] = 0.0;
-        heap.push(HeapEntry { dist: 0.0, node: source });
-        while let Some(HeapEntry { dist: d, node }) = heap.pop() {
-            if d > dist[node] {
-                continue;
-            }
-            for edge in &self.adjacency[node] {
-                let candidate = d + edge.weight;
-                if candidate + 1e-12 < dist[edge.to] {
-                    dist[edge.to] = candidate;
-                    mask[edge.to] = mask[node] ^ edge.observables;
-                    heap.push(HeapEntry { dist: candidate, node: edge.to });
-                }
-            }
-        }
-        (dist, mask)
+    /// The shortest path from detector `a` to node `b > a`.
+    fn path(&self, a: usize, b: usize) -> Path {
+        // Row `a` holds nodes `a + 1..=num_detectors` and starts after the
+        // `num_detectors - k` entries of every row `k < a`.
+        let row_start = a * (2 * self.num_detectors - a + 1) / 2;
+        self.paths[row_start + b - a - 1]
     }
 
     /// Exact minimum-weight matching over `defects` (plus the boundary) by
     /// bitmask dynamic programming. Returns the XOR of observable masks of
     /// the matched paths.
-    fn match_exact(&self, defects: &[usize], dist: &[Vec<f64>], masks: &[Vec<u64>]) -> u64 {
+    fn match_exact(&self, defects: &[usize]) -> u64 {
         let m = defects.len();
         let boundary = self.num_detectors;
         let full = 1usize << m;
@@ -188,24 +193,24 @@ impl MwpmDecoder {
             };
             // Option 1: match defect i to the boundary.
             let next = state | (1 << i);
-            let to_boundary = dist[i][boundary];
-            if to_boundary.is_finite() && best[state] + to_boundary < best[next] {
-                best[next] = best[state] + to_boundary;
-                best_mask[next] = best_mask[state] ^ masks[i][boundary];
+            let to_boundary = self.path(defects[i], boundary);
+            if to_boundary.dist.is_finite() && best[state] + to_boundary.dist < best[next] {
+                best[next] = best[state] + to_boundary.dist;
+                best_mask[next] = best_mask[state] ^ to_boundary.observables;
             }
             // Option 2: match defect i with another unmatched defect j.
             for j in i + 1..m {
                 if state & (1 << j) != 0 {
                     continue;
                 }
-                let pair_cost = dist[i][defects[j]];
-                if !pair_cost.is_finite() {
+                let pair = self.path(defects[i], defects[j]);
+                if !pair.dist.is_finite() {
                     continue;
                 }
                 let next = state | (1 << i) | (1 << j);
-                if best[state] + pair_cost < best[next] {
-                    best[next] = best[state] + pair_cost;
-                    best_mask[next] = best_mask[state] ^ masks[i][defects[j]];
+                if best[state] + pair.dist < best[next] {
+                    best[next] = best[state] + pair.dist;
+                    best_mask[next] = best_mask[state] ^ pair.observables;
                 }
             }
         }
@@ -217,29 +222,56 @@ impl MwpmDecoder {
     }
 
     /// Greedy matching used beyond the exact-matching size limit.
-    fn match_greedy(&self, defects: &[usize], dist: &[Vec<f64>], masks: &[Vec<u64>]) -> u64 {
+    fn match_greedy(&self, defects: &[usize]) -> u64 {
         let m = defects.len();
         let boundary = self.num_detectors;
         let mut unmatched: Vec<usize> = (0..m).collect();
         let mut result = 0u64;
         while let Some(&first) = unmatched.first() {
-            let mut best_cost = dist[first][boundary];
+            let mut best = self.path(defects[first], boundary);
             let mut best_choice: Option<usize> = None;
-            let mut best_mask = masks[first][boundary];
             for &other in unmatched.iter().skip(1) {
-                let cost = dist[first][defects[other]];
-                if cost < best_cost {
-                    best_cost = cost;
+                let candidate = self.path(defects[first], defects[other]);
+                if candidate.dist < best.dist {
+                    best = candidate;
                     best_choice = Some(other);
-                    best_mask = masks[first][defects[other]];
                 }
             }
-            if best_cost.is_finite() {
-                result ^= best_mask;
+            if best.dist.is_finite() {
+                result ^= best.observables;
             }
             unmatched.retain(|&i| i != first && Some(i) != best_choice);
         }
         result
+    }
+}
+
+/// Dijkstra from `source`, leaving in `dist` and `mask` every node's
+/// distance and the observable mask accumulated along a shortest path.
+/// `heap` is scratch and is left empty.
+fn shortest_paths(
+    adjacency: &[Vec<MatchEdge>],
+    source: usize,
+    dist: &mut [f64],
+    mask: &mut [u64],
+    heap: &mut BinaryHeap<HeapEntry>,
+) {
+    dist.fill(f64::INFINITY);
+    mask.fill(0);
+    dist[source] = 0.0;
+    heap.push(HeapEntry { dist: 0.0, node: source });
+    while let Some(HeapEntry { dist: d, node }) = heap.pop() {
+        if d > dist[node] {
+            continue;
+        }
+        for edge in &adjacency[node] {
+            let candidate = d + edge.weight;
+            if candidate + 1e-12 < dist[edge.to] {
+                dist[edge.to] = candidate;
+                mask[edge.to] = mask[node] ^ edge.observables;
+                heap.push(HeapEntry { dist: candidate, node: edge.to });
+            }
+        }
     }
 }
 
@@ -271,7 +303,7 @@ fn pack_mask(observables: &[usize]) -> u64 {
 /// back to consecutive pairing.
 fn decompose(
     detectors: &[usize],
-    existing: &[(usize, usize)],
+    existing: &HashSet<(usize, usize)>,
     boundary: usize,
 ) -> Vec<(usize, usize)> {
     let has = |a: usize, b: usize| {
@@ -320,23 +352,16 @@ impl ObservableDecoder for MwpmDecoder {
         if defects.is_empty() {
             return BitVec::zeros(self.num_observables);
         }
-        let mut dist = Vec::with_capacity(defects.len());
-        let mut masks = Vec::with_capacity(defects.len());
-        for &d in &defects {
-            let (dd, mm) = self.shortest_paths(d);
-            dist.push(dd);
-            masks.push(mm);
-        }
         let result_mask = if defects.len() <= self.exact_limit {
-            self.match_exact(&defects, &dist, &masks)
+            self.match_exact(&defects)
         } else {
-            self.match_greedy(&defects, &dist, &masks)
+            self.match_greedy(&defects)
         };
         BitVec::from_bools((0..self.num_observables).map(|i| (result_mask >> i) & 1 == 1))
     }
 }
 
-/// Factory for [`MwpmDecoder`] (wrapped in a memoisation cache).
+/// Factory for [`MwpmDecoder`].
 #[derive(Debug, Clone, Default)]
 pub struct MwpmFactory {
     _private: (),
@@ -355,7 +380,7 @@ impl DecoderFactory for MwpmFactory {
     }
 
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
-        Box::new(CachedDecoder::new(MwpmDecoder::new(dem)))
+        Box::new(MwpmDecoder::new(dem))
     }
 }
 

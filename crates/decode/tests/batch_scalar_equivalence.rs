@@ -4,10 +4,10 @@
 //! bulk serving, then one scalar `decode` per hard shot off the transposed
 //! matrix) must be bit-identical to the scalar `ObservableDecoder::decode`
 //! oracle for every decoder in the crate, bare and behind the
-//! `CachedDecoder` memo cache that every factory wraps it in. This suite
-//! fuzzes that contract across random detector error models and shot
-//! counts straddling the 64-shot word boundary, and checks it on a toy DEM
-//! with hand-built shots of each class.
+//! `CachedDecoder` memo cache that the BP-OSD and union-find factories
+//! wrap them in. This suite fuzzes that contract across random detector
+//! error models and shot counts straddling the 64-shot word boundary, and
+//! checks it on a toy DEM with hand-built shots of each class.
 
 use asynd_circuit::{DemError, DetectorErrorModel, ObservableDecoder};
 use asynd_decode::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};

@@ -10,7 +10,7 @@
 //! ([`WakeupStats`]); the contention regression tests pin the no-herd
 //! property to those counters. The bound is the server's backpressure: a
 //! caller either blocks (`push`) or gets an immediate refusal
-//! (`try_push`) instead of queueing unbounded work.
+//! (`try_push_to`) instead of queueing unbounded work.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -138,14 +138,8 @@ impl<T> ShardedQueue<T> {
         }
     }
 
-    /// Enqueues without blocking. Returns the item back when the queue is
-    /// full or closed.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let shard = self.round_robin.fetch_add(1, Ordering::Relaxed);
-        self.try_push_to(shard, item)
-    }
-
-    /// As [`ShardedQueue::try_push`], pinned to a shard.
+    /// Enqueues into shard `shard_hint` (modulo the shard count) without
+    /// blocking. Returns the item back when the queue is full or closed.
     pub fn try_push_to(&self, shard_hint: usize, item: T) -> Result<(), T> {
         if !self.open.load(Ordering::SeqCst) || !self.try_reserve() {
             return Err(item);
@@ -303,7 +297,7 @@ mod tests {
         queue.try_push_to(0, 1).unwrap();
         queue.try_push_to(1, 2).unwrap();
         queue.close();
-        assert_eq!(queue.try_push(3), Err(3));
+        assert_eq!(queue.try_push_to(0, 3), Err(3));
         assert_eq!(queue.push(4), Err(4));
         let mut drained = vec![queue.pop(0).unwrap(), queue.pop(0).unwrap()];
         drained.sort_unstable();
@@ -346,7 +340,7 @@ mod tests {
     fn sharded_pushes_with_nobody_waiting_never_notify() {
         let queue = ShardedQueue::new(4, 64);
         for i in 0..50 {
-            queue.try_push(i).unwrap();
+            queue.try_push_to(i, i).unwrap();
         }
         for _ in 0..50 {
             queue.pop(0).unwrap();
