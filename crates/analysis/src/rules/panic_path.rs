@@ -9,14 +9,16 @@
 //! of bounds; `.get()` is the structured alternative). Internal buffers
 //! whose indices are kernel- or self-maintained invariants (`chunk` from
 //! `read(2)`, the write buffer) are deliberately not in the protocol
-//! ident list.
+//! ident list. The evaluator is a hot file too: every served job goes
+//! through its shared cache, so a panic there fails the job's worker.
 
 use super::{function_at, Finding, Rule, Severity};
 use crate::lexer::{Delim, TokenKind};
 use crate::model::SourceFile;
 
 /// Hot files: the reactor, fleet coordinator, server accept loop, v1
-/// line session, client, and all of `crates/net`'s connection handling.
+/// line session, client, all of `crates/net`'s connection handling, and
+/// the shared evaluator cache every served job goes through.
 fn is_hot_file(path: &str) -> bool {
     path.starts_with("crates/net/src/")
         || path.ends_with("/reactor.rs")
@@ -24,6 +26,7 @@ fn is_hot_file(path: &str) -> bool {
         || path.ends_with("/server.rs")
         || path.ends_with("/session.rs")
         || path.ends_with("/client.rs")
+        || path == "crates/circuit/src/evaluator.rs"
 }
 
 /// Identifiers that name peer-controlled input in the hot files.

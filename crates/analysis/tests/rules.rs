@@ -145,6 +145,18 @@ fn panic_rule_covers_the_v1_line_session() {
 }
 
 #[test]
+fn panic_rule_covers_the_evaluator() {
+    // Every served job goes through the shared evaluator cache.
+    let found = findings_for(
+        "panic-in-hot-path",
+        "panic_detect.rs",
+        "crates/circuit/src/evaluator.rs",
+        "asynd-circuit",
+    );
+    assert!(found.len() >= 3, "{found:?}");
+}
+
+#[test]
 fn panic_clean_patterns_and_suppressions_pass() {
     let found =
         findings_for("panic-in-hot-path", "panic_clean.rs", "crates/net/src/conn.rs", "asynd-net");

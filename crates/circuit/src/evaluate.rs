@@ -11,6 +11,8 @@
 //! survives as [`estimate_logical_error_scalar`] for statistical
 //! cross-checks and benchmarking.
 
+use std::collections::HashMap;
+
 use asynd_codes::StabilizerCode;
 use asynd_pauli::BitVec;
 use asynd_sim::{
@@ -43,9 +45,10 @@ pub trait ObservableDecoder: Send + Sync {
     /// bit-identical to `decode(&shots.shot_detectors(s))`.
     ///
     /// Zero-defect shots cost nothing, single-defect shots share one
-    /// `decode` per distinct firing detector, and each multi-defect shot is
-    /// decoded by `decode` off one blocked transpose. Wrappers override this
-    /// only to forward to an inner decoder's `decode_batch`.
+    /// `decode` per distinct firing detector, and each distinct multi-defect
+    /// syndrome is decoded once by `decode` off one blocked transpose.
+    /// Wrappers override this only to forward to an inner decoder's
+    /// `decode_batch`.
     fn decode_batch(&self, shots: &BatchShots) -> BitMatrix {
         word_parallel_batch(self, shots)
     }
@@ -56,8 +59,8 @@ pub trait ObservableDecoder: Send + Sync {
 pub use ObservableDecoder as BatchObservableDecoder;
 
 /// The shared word-parallel engine: pre-screens every shot word, serves
-/// zero- and single-defect shots in bulk, and decodes each remaining hard
-/// shot with `decoder.decode`.
+/// zero- and single-defect shots in bulk, and decodes each distinct
+/// remaining hard syndrome once with `decoder.decode`.
 fn word_parallel_batch<D>(decoder: &D, shots: &BatchShots) -> BitMatrix
 where
     D: ObservableDecoder + ?Sized,
@@ -113,10 +116,19 @@ where
         // One blocked transpose makes every hard shot's syndrome one
         // contiguous word slice; zero-/single-defect shots never pay for it.
         let transposed = detectors.transpose();
+        // The first shot with each hard syndrome; a repeat copies that
+        // shot's prediction bits instead of decoding again.
+        let mut first_shot: HashMap<&[u64], usize> = HashMap::new();
         for s in hard_shots {
-            let syndrome = BitVec::from_words(transposed.row_words(s).to_vec(), num_detectors);
-            for o in decoder.decode(&syndrome).ones() {
-                predictions.set(o, s, true);
+            let row = transposed.row_words(s);
+            let first = *first_shot.entry(row).or_insert(s);
+            if first == s {
+                let syndrome = BitVec::from_words(row.to_vec(), num_detectors);
+                for o in decoder.decode(&syndrome).ones() {
+                    predictions.set(o, s, true);
+                }
+            } else {
+                predictions.set_column(s, &predictions.column(first));
             }
         }
     }
@@ -426,6 +438,8 @@ mod tests {
     use asynd_codes::steane_code;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A decoder that always predicts "no observable flipped".
     struct NullDecoder {
@@ -465,27 +479,59 @@ mod tests {
         }
     }
 
+    /// Counts the `decode` calls it forwards to a [`ParityDecoder`].
+    struct CountingDecoder {
+        inner: ParityDecoder,
+        calls: AtomicUsize,
+    }
+
+    impl ObservableDecoder for CountingDecoder {
+        fn decode(&self, detectors: &BitVec) -> BitVec {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.decode(detectors)
+        }
+    }
+
     #[test]
     fn provided_decode_batch_matches_decode_column_by_column() {
         let code = steane_code();
         let noise = NoiseModel::uniform(0.02, 0.01, 0.02);
         let dem = DetectorErrorModel::build(&code, &Schedule::trivial(&code), &noise).unwrap();
         let sampler = asynd_sim::BatchSampler::new(&dem.to_frame_model());
-        let decoder = ParityDecoder { observables: dem.num_observables() };
+        let decoder = CountingDecoder {
+            inner: ParityDecoder { observables: dem.num_observables() },
+            calls: AtomicUsize::new(0),
+        };
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        // Shots seen with zero, one and two or more defects.
+        // Shots seen with zero, one and two or more defects, and hard
+        // shots whose syndrome already occurred earlier in their batch.
         let mut classes = [0usize; 3];
+        let mut repeated_hard = 0;
         for shots in [1, 63, 64, 65, 130] {
             let batch = sampler.sample(shots, &mut rng);
+            decoder.calls.store(0, Ordering::Relaxed);
             let predictions = decoder.decode_batch(&batch);
             assert_eq!((predictions.rows(), predictions.cols()), (dem.num_observables(), shots));
+            let mut distinct = [HashSet::new(), HashSet::new()];
             for s in 0..shots {
                 let detectors = batch.shot_detectors(s);
-                classes[detectors.count_ones().min(2)] += 1;
-                assert_eq!(predictions.column(s), decoder.decode(&detectors), "{shots} shots: {s}");
+                let class = detectors.count_ones().min(2);
+                classes[class] += 1;
+                if class > 0 {
+                    let fresh = distinct[class - 1].insert(detectors.words().to_vec());
+                    repeated_hard += usize::from(class == 2 && !fresh);
+                }
+                let expected = decoder.inner.decode(&detectors);
+                assert_eq!(predictions.column(s), expected, "{shots} shots: {s}");
             }
+            assert_eq!(
+                decoder.calls.load(Ordering::Relaxed),
+                distinct[0].len() + distinct[1].len(),
+                "{shots} shots: one decode per distinct firing detector and hard syndrome"
+            );
         }
         assert!(classes.iter().all(|&n| n > 0), "every shot class must occur: {classes:?}");
+        assert!(repeated_hard > 0, "some hard syndrome must repeat within a batch");
     }
 
     #[test]

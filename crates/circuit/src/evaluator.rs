@@ -9,10 +9,12 @@
 //!
 //! [`Evaluator`] turns evaluation into a service with memoisation: it owns
 //! the noise model, the decoder factory and the shot budget, and caches
-//! `(code fingerprint, ScheduleKey) → (DEM, frame model, built decoder,
-//! estimate)` in a bounded LRU map (the code fingerprint keeps multi-code
-//! sweeps from colliding on structurally identical schedules). A repeated
-//! candidate costs one canonical hash plus a map lookup.
+//! `(code fingerprint, ScheduleKey) → estimate` in a bounded LRU map (the
+//! code fingerprint keeps multi-code sweeps from colliding on structurally
+//! identical schedules). A repeated candidate costs one canonical hash plus
+//! a map lookup. The frame model and decoder an evaluation builds live only
+//! as long as that evaluation (or the speculative [`Evaluation`] carrying
+//! them); no DEM, decoder or prediction outlives it.
 //!
 //! Two entry points with different determinism contracts:
 //!
@@ -22,8 +24,8 @@
 //!   replay loop) route every authoritative request through this path from
 //!   a single thread in a deterministic order.
 //! * [`Evaluator::evaluate_fresh`] — the *speculative* path. It never
-//!   mutates the cache (it only peeks for reusable models), so any number
-//!   of threads may call it concurrently without perturbing the
+//!   mutates the cache (it only peeks for a memoised estimate), so any
+//!   number of threads may call it concurrently without perturbing the
 //!   authoritative cache evolution. The returned [`Evaluation`] can later
 //!   be handed to [`Evaluator::evaluate_with_hint`], which accepts its
 //!   result only when the key *and* seed match exactly what the
@@ -31,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use asynd_codes::StabilizerCode;
@@ -63,8 +65,8 @@ pub struct EvaluatorStats {
     /// Subset of `misses` whose estimate was taken from a matching
     /// speculative [`Evaluation`] instead of being recomputed.
     pub speculative_hits: u64,
-    /// DEM + decoder constructions avoided by reusing a cached (or hinted)
-    /// model on a miss.
+    /// DEM + decoder constructions avoided on a miss by reusing the model
+    /// a fresh speculative hint built for the same schedule.
     pub model_reuses: u64,
     /// DEM + decoder constructions actually performed (both paths).
     pub model_builds: u64,
@@ -163,13 +165,12 @@ impl EvaluatorMetrics {
     }
 }
 
-/// The immutable, shareable artifacts of one schedule: its detector error
-/// model, the simulator-facing frame view and the decoder built for it.
-#[derive(Clone)]
+/// What one evaluation samples and decodes with: the simulator-facing
+/// frame view of the schedule's DEM and the decoder built from it. The DEM
+/// itself is dropped once both are built.
 struct Model {
-    dem: Arc<DetectorErrorModel>,
-    frame: Arc<FrameErrorModel>,
-    decoder: Arc<dyn ObservableDecoder>,
+    frame: FrameErrorModel,
+    decoder: Box<dyn ObservableDecoder>,
 }
 
 /// The full memoisation key: a fingerprint of the code (stabilizers and
@@ -199,9 +200,8 @@ fn code_fingerprint(code: &StabilizerCode) -> u64 {
     hash
 }
 
-/// One cached schedule: its model plus the memoised authoritative estimate.
+/// One cached schedule: the memoised authoritative estimate.
 struct Entry {
-    model: Model,
     estimate: LogicalErrorEstimate,
     last_used: u64,
 }
@@ -210,18 +210,16 @@ struct Entry {
 /// ([`Evaluator::evaluate_fresh`]).
 ///
 /// Carries everything the authoritative path would otherwise compute — the
-/// schedule's model artifacts and the estimate — plus the `(key, seed)`
-/// identity under which it was produced, so
-/// [`Evaluator::evaluate_with_hint`] can decide exactly which parts are
-/// safe to reuse.
+/// schedule's model and the estimate — plus the `(key, seed)` identity
+/// under which it was produced, so [`Evaluator::evaluate_with_hint`] can
+/// decide exactly which parts are safe to reuse.
 pub struct Evaluation {
     cache_key: CacheKey,
     seed: u64,
-    /// Whether `estimate` was actually sampled fresh under `(key, seed)`
-    /// (as opposed to short-circuited from an existing memo entry); only
-    /// fresh results may be committed as authoritative.
-    computed: bool,
-    model: Model,
+    /// The model `estimate` was sampled with fresh under `(key, seed)`, or
+    /// `None` when the estimate was short-circuited from an existing memo
+    /// entry; only fresh results may be committed as authoritative.
+    model: Option<Model>,
     estimate: LogicalErrorEstimate,
 }
 
@@ -248,7 +246,7 @@ struct Cache {
 }
 
 /// A memoising evaluation service: owns noise model, decoder factory and
-/// shot budget, and caches per-schedule artifacts in a bounded LRU map.
+/// shot budget, and caches per-schedule estimates in a bounded LRU map.
 ///
 /// The determinism contract of the two evaluation paths
 /// ([`Evaluator::evaluate`] vs [`Evaluator::evaluate_fresh`]) is described
@@ -349,24 +347,21 @@ impl Evaluator {
         }
     }
 
-    /// The noise model every evaluation runs under.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
-    }
-
     /// The per-evaluation shot budget.
     pub fn shots(&self) -> usize {
         self.shots
     }
 
-    /// The configured cache capacity (number of schedules).
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The cache, recovered if a thread panicked while holding the lock:
+    /// every critical section only bumps the clock, touches one entry or
+    /// evicts, so the map is valid at every step.
+    fn cache(&self) -> MutexGuard<'_, Cache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of schedules currently cached.
     pub fn len(&self) -> usize {
-        self.cache.lock().expect("evaluator cache poisoned").entries.len()
+        self.cache().entries.len()
     }
 
     /// Whether the cache is empty.
@@ -417,7 +412,7 @@ impl Evaluator {
     /// [`Evaluator::evaluate`], additionally offered a speculative
     /// [`Evaluation`] to draw on.
     ///
-    /// The hint's model artifacts are reused when its key matches; its
+    /// The model a fresh hint built is reused when its key matches; its
     /// estimate is accepted only when it was computed fresh under exactly
     /// this `(key, seed)` — anything else is recomputed, so hints can
     /// never change what this path returns, only make it cheaper.
@@ -434,8 +429,7 @@ impl Evaluator {
     ) -> Result<LogicalErrorEstimate, CircuitError> {
         let key = (code_fingerprint(code), schedule.key());
         {
-            let mut guard = self.cache.lock().expect("evaluator cache poisoned");
-            let cache = &mut *guard;
+            let mut cache = self.cache();
             cache.clock += 1;
             let clock = cache.clock;
             if let Some(entry) = cache.entries.get_mut(&key) {
@@ -455,32 +449,38 @@ impl Evaluator {
         // evolution is untouched either way).
         bump(&self.stats.misses);
         self.metric(|m| m.misses.inc());
-        let model = match hint {
-            Some(h) if h.cache_key == key => {
+        let hinted = hint
+            .filter(|h| h.cache_key == key)
+            .and_then(|h| h.model.as_ref().map(|model| (h, model)));
+        let estimate = match hinted {
+            Some((h, model)) => {
                 bump(&self.stats.model_reuses);
                 self.metric(|m| m.model_reuses.inc());
-                h.model.clone()
+                if h.seed == seed {
+                    bump(&self.stats.speculative_hits);
+                    self.metric(|m| m.speculative_hits.inc());
+                    h.estimate
+                } else {
+                    self.sample(code, model, seed)?
+                }
             }
-            _ => {
+            None => {
                 bump(&self.stats.model_builds);
                 self.metric(|m| m.model_builds.inc());
-                self.build_model(code, schedule)?
+                self.sample(code, &self.build_model(code, schedule)?, seed)?
             }
         };
-        let estimate = self.produce_estimate(code, &model, seed, hint, key)?;
         if self.capacity > 0 {
-            let mut guard = self.cache.lock().expect("evaluator cache poisoned");
-            let cache = &mut *guard;
+            let mut cache = self.cache();
             cache.clock += 1;
             let clock = cache.clock;
-            cache.entries.insert(key, Entry { model, estimate, last_used: clock });
+            cache.entries.insert(key, Entry { estimate, last_used: clock });
             while cache.entries.len() > self.capacity {
-                let victim = cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("cache is non-empty above capacity");
+                let Some(victim) =
+                    cache.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k)
+                else {
+                    break;
+                };
                 cache.entries.remove(&victim);
                 bump(&self.stats.evictions);
                 self.metric(|m| m.evictions.inc());
@@ -492,11 +492,12 @@ impl Evaluator {
     /// Speculative evaluation: computes (or short-circuits) an estimate
     /// without mutating the cache.
     ///
-    /// Safe to call from any number of threads concurrently; reuses cached
-    /// model artifacts read-only. If the authoritative estimate for this
-    /// schedule already exists, it is returned without sampling and the
-    /// result is marked non-fresh (it will not be committed under a
-    /// different seed).
+    /// Safe to call from any number of threads concurrently. If the
+    /// authoritative estimate for this schedule already exists, it is
+    /// returned without building a model or sampling, and the result
+    /// carries no model: it will not be committed under a different seed,
+    /// and an authoritative call that misses after the entry's eviction
+    /// rebuilds the model.
     ///
     /// # Errors
     ///
@@ -508,24 +509,21 @@ impl Evaluator {
         seed: u64,
     ) -> Result<Evaluation, CircuitError> {
         let key = (code_fingerprint(code), schedule.key());
-        let peeked: Option<(Model, LogicalErrorEstimate)> = {
-            let cache = self.cache.lock().expect("evaluator cache poisoned");
-            cache.entries.get(&key).map(|e| (e.model.clone(), e.estimate))
-        };
-        if let Some((model, estimate)) = peeked {
+        let memoised = self.cache().entries.get(&key).map(|e| e.estimate);
+        if let Some(estimate) = memoised {
             bump(&self.stats.speculative_short_circuits);
             self.metric(|m| m.speculative_short_circuits.inc());
-            return Ok(Evaluation { cache_key: key, seed, computed: false, model, estimate });
+            return Ok(Evaluation { cache_key: key, seed, model: None, estimate });
         }
         let model = self.build_model(code, schedule)?;
         bump(&self.stats.model_builds);
         self.metric(|m| m.model_builds.inc());
         let estimate = self.sample(code, &model, seed)?;
-        Ok(Evaluation { cache_key: key, seed, computed: true, model, estimate })
+        Ok(Evaluation { cache_key: key, seed, model: Some(model), estimate })
     }
 
-    /// Builds the model artifacts (DEM, frame view, decoder) for a
-    /// schedule, recording the build latency when instrumented.
+    /// Builds the model (frame view and decoder, via the schedule's DEM)
+    /// for a schedule, recording the build latency when instrumented.
     fn build_model(
         &self,
         code: &StabilizerCode,
@@ -533,10 +531,9 @@ impl Evaluator {
     ) -> Result<Model, CircuitError> {
         let start = Instant::now();
         let dem = DetectorErrorModel::build(code, schedule, &self.noise)?;
-        let frame = Arc::new(dem.to_frame_model());
-        let decoder: Arc<dyn ObservableDecoder> = Arc::from(self.factory.build_batch(&dem));
+        let model = Model { frame: dem.to_frame_model(), decoder: self.factory.build_batch(&dem) };
         self.metric(|m| m.build_us.record_duration(start.elapsed()));
-        Ok(Model { dem: Arc::new(dem), frame, decoder })
+        Ok(model)
     }
 
     /// Samples an estimate for a built model, recording the sampling
@@ -561,47 +558,6 @@ impl Evaluator {
             m.decode_us.record_duration(std::time::Duration::from_nanos(timings.decode_ns));
         });
         Ok(estimate)
-    }
-
-    /// Produces the authoritative estimate for `(key, seed)`: takes a
-    /// matching fresh hint verbatim, otherwise samples.
-    fn produce_estimate(
-        &self,
-        code: &StabilizerCode,
-        model: &Model,
-        seed: u64,
-        hint: Option<&Evaluation>,
-        key: CacheKey,
-    ) -> Result<LogicalErrorEstimate, CircuitError> {
-        if let Some(h) = hint {
-            if h.computed && h.cache_key == key && h.seed == seed {
-                bump(&self.stats.speculative_hits);
-                self.metric(|m| m.speculative_hits.inc());
-                return Ok(h.estimate);
-            }
-        }
-        self.sample(code, model, seed)
-    }
-
-    /// The detector error model of a schedule, built (or fetched) through
-    /// the cache's model layer without touching the estimate memo.
-    ///
-    /// # Errors
-    ///
-    /// Returns a DEM build error for an invalid schedule or noise model.
-    pub fn detector_error_model(
-        &self,
-        code: &StabilizerCode,
-        schedule: &Schedule,
-    ) -> Result<Arc<DetectorErrorModel>, CircuitError> {
-        let key = (code_fingerprint(code), schedule.key());
-        {
-            let cache = self.cache.lock().expect("evaluator cache poisoned");
-            if let Some(entry) = cache.entries.get(&key) {
-                return Ok(entry.model.dem.clone());
-            }
-        }
-        Ok(self.build_model(code, schedule)?.dem)
     }
 }
 
@@ -739,7 +695,7 @@ mod tests {
         let evaluator = make_evaluator(16);
 
         let spec = evaluator.evaluate_fresh(&code, &schedule, 123).unwrap();
-        assert!(spec.computed);
+        assert!(spec.model.is_some(), "a fresh evaluation carries its model");
         assert_eq!(spec.seed(), 123);
         assert_eq!(evaluator.len(), 0, "speculation does not populate the cache");
 
@@ -773,7 +729,7 @@ mod tests {
         let evaluator = make_evaluator(16);
         let authoritative = evaluator.evaluate(&code, &schedule, 5).unwrap();
         let spec = evaluator.evaluate_fresh(&code, &schedule, 9999).unwrap();
-        assert!(!spec.computed, "memoised estimate short-circuits sampling");
+        assert!(spec.model.is_none(), "memoised estimate short-circuits sampling");
         assert_eq!(spec.estimate(), authoritative);
         assert_eq!(evaluator.stats().speculative_short_circuits, 1);
     }
@@ -807,14 +763,28 @@ mod tests {
     }
 
     #[test]
-    fn detector_error_model_reuses_cached_entry() {
+    fn short_circuited_hint_evicted_before_commit_is_rebuilt() {
         let code = steane_code();
-        let schedule = Schedule::trivial(&code);
-        let evaluator = make_evaluator(16);
-        evaluator.evaluate(&code, &schedule, 1).unwrap();
-        let builds = evaluator.stats().model_builds;
-        let dem = evaluator.detector_error_model(&code, &schedule).unwrap();
-        assert_eq!(dem.num_observables(), 2 * code.num_logicals());
-        assert_eq!(evaluator.stats().model_builds, builds, "DEM came from the cache");
+        let schedules = distinct_schedules(2);
+        let evaluator = make_evaluator(1);
+        evaluator.evaluate(&code, &schedules[0], 5).unwrap();
+        let spec = evaluator.evaluate_fresh(&code, &schedules[0], 9).unwrap();
+        assert!(spec.model.is_none(), "memoised estimate short-circuits sampling");
+        evaluator.evaluate(&code, &schedules[1], 1).unwrap(); // evicts schedules[0]
+        let before = evaluator.stats();
+        assert_eq!(before.evictions, 1);
+
+        let estimate = evaluator.evaluate_with_hint(&code, &schedules[0], 9, Some(&spec)).unwrap();
+        let after = evaluator.stats();
+        assert_eq!(after.model_builds, before.model_builds + 1, "no model to reuse: rebuild");
+        assert_eq!(after.model_reuses, before.model_reuses);
+        assert_eq!(after.speculative_hits, before.speculative_hits);
+        let uncached = make_evaluator(0);
+        assert_eq!(estimate, uncached.evaluate(&code, &schedules[0], 9).unwrap());
+        assert_ne!(
+            estimate,
+            uncached.evaluate(&code, &schedules[0], 5).unwrap(),
+            "seeds 5 and 9 must sample different estimates for the check to bite"
+        );
     }
 }

@@ -33,9 +33,9 @@
 //!   [`estimate_logical_error_scalar`].
 //! * [`Evaluator`] — the memoising evaluation service used by search
 //!   workloads: owns noise model + decoder factory and caches
-//!   [`ScheduleKey`] → (DEM, built decoder, estimate) in a bounded LRU, so
-//!   re-evaluating a previously seen schedule costs a hash lookup instead
-//!   of a DEM rebuild and a decode run.
+//!   `(code, ScheduleKey) → estimate` in a bounded LRU, so re-evaluating a
+//!   previously seen schedule costs a hash lookup instead of a DEM
+//!   rebuild and a decode run.
 //! * [`artifact`] — the JSON wire format of schedules and estimates
 //!   ([`artifact::ScheduleArtifact`]), used by the serving layer to ship
 //!   synthesized schedules across process boundaries with fingerprint

@@ -3,7 +3,7 @@
 use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
 use asynd_pauli::{BinMatrix, BitVec};
 
-use crate::common::{CachedDecoder, DecodeMatrix};
+use crate::common::DecodeMatrix;
 
 /// BP-OSD decoder over a detector error model.
 ///
@@ -250,7 +250,7 @@ impl ObservableDecoder for BpOsdDecoder {
     }
 }
 
-/// Factory for [`BpOsdDecoder`] (wrapped in a memoisation cache).
+/// Factory for [`BpOsdDecoder`].
 #[derive(Debug, Clone)]
 pub struct BpOsdFactory {
     max_iterations: usize,
@@ -282,7 +282,7 @@ impl DecoderFactory for BpOsdFactory {
     }
 
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
-        Box::new(CachedDecoder::new(BpOsdDecoder::new(dem, self.max_iterations, self.osd_order)))
+        Box::new(BpOsdDecoder::new(dem, self.max_iterations, self.osd_order))
     }
 }
 

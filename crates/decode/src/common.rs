@@ -146,38 +146,6 @@ impl DecodeMatrix {
     }
 }
 
-/// A memoising wrapper around any decoder: identical detector patterns are
-/// decoded once and served from a cache afterwards.
-///
-/// Syndrome distributions at realistic noise rates are heavily concentrated
-/// on a small set of patterns (most shots have zero or one detection
-/// event), so caching speeds up the Monte-Carlo evaluation loop — and
-/// therefore MCTS rollouts — by an order of magnitude without changing any
-/// decoding decision.
-pub struct CachedDecoder<D> {
-    inner: D,
-    cache: std::sync::Mutex<std::collections::HashMap<Vec<u64>, BitVec>>,
-}
-
-impl<D: asynd_circuit::ObservableDecoder> CachedDecoder<D> {
-    /// Wraps a decoder with a memoisation cache.
-    pub fn new(inner: D) -> Self {
-        CachedDecoder { inner, cache: std::sync::Mutex::new(std::collections::HashMap::new()) }
-    }
-}
-
-impl<D: asynd_circuit::ObservableDecoder> asynd_circuit::ObservableDecoder for CachedDecoder<D> {
-    fn decode(&self, detectors: &BitVec) -> BitVec {
-        let key: Vec<u64> = detectors.words().to_vec();
-        if let Some(hit) = self.cache.lock().expect("decoder cache poisoned").get(&key) {
-            return hit.clone();
-        }
-        let result = self.inner.decode(detectors);
-        self.cache.lock().expect("decoder cache poisoned").insert(key, result.clone());
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

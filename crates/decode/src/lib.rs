@@ -17,14 +17,12 @@
 //!
 //! Each decoder implements only the scalar `decode`. A packed batch goes
 //! through the trait's provided `decode_batch`, which serves zero- and
-//! single-defect shots in bulk and calls `decode` once per multi-defect
-//! ("hard") shot: one matching, one cluster growth, or scalar min-sum BP
-//! followed by OSD when BP does not converge (a 64-lane BP pass over the
-//! hard shots measured 1.2–1.4× slower; EXPERIMENTS.md). The BP-OSD and
-//! union-find factories wrap their decoders in [`CachedDecoder`], so a
-//! syndrome repeated within or across batches is decoded once. The MWPM
-//! factory returns the bare decoder: a matching read off its shortest-path
-//! table costs about as much as a cache lookup.
+//! single-defect shots in bulk and calls `decode` once per distinct
+//! multi-defect ("hard") syndrome in the batch: one matching, one cluster
+//! growth, or scalar min-sum BP followed by OSD when BP does not converge
+//! (a 64-lane BP pass over the hard shots measured 1.2–1.4× slower;
+//! EXPERIMENTS.md). That per-batch dedup is the only syndrome memo: every
+//! factory returns the bare decoder, which keeps no state between calls.
 //!
 //! # Example
 //!
@@ -58,7 +56,7 @@ mod mwpm;
 mod unionfind;
 
 pub use bposd::{BpOsdDecoder, BpOsdFactory};
-pub use common::{CachedDecoder, DecodeMatrix, DecoderError};
+pub use common::{DecodeMatrix, DecoderError};
 pub use mwpm::{MwpmDecoder, MwpmFactory};
 pub use unionfind::{UnionFindDecoder, UnionFindFactory};
 

@@ -3,7 +3,7 @@
 use asynd_circuit::{DecoderFactory, DetectorErrorModel, ObservableDecoder};
 use asynd_pauli::{BinMatrix, BitVec};
 
-use crate::common::{CachedDecoder, DecodeMatrix};
+use crate::common::DecodeMatrix;
 
 /// Hypergraph union-find decoder.
 ///
@@ -320,7 +320,7 @@ impl ObservableDecoder for UnionFindDecoder {
     }
 }
 
-/// Factory for [`UnionFindDecoder`] (wrapped in a memoisation cache).
+/// Factory for [`UnionFindDecoder`].
 #[derive(Debug, Clone, Default)]
 pub struct UnionFindFactory {
     _private: (),
@@ -339,7 +339,7 @@ impl DecoderFactory for UnionFindFactory {
     }
 
     fn build(&self, dem: &DetectorErrorModel) -> Box<dyn ObservableDecoder + Send + Sync> {
-        Box::new(CachedDecoder::new(UnionFindDecoder::new(dem)))
+        Box::new(UnionFindDecoder::new(dem))
     }
 }
 

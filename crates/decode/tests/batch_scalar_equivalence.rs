@@ -1,16 +1,15 @@
 //! Batch-vs-scalar equivalence fuzzing.
 //!
 //! `ObservableDecoder`'s word-parallel `decode_batch` (zero-/single-defect
-//! bulk serving, then one scalar `decode` per hard shot off the transposed
-//! matrix) must be bit-identical to the scalar `ObservableDecoder::decode`
-//! oracle for every decoder in the crate, bare and behind the
-//! `CachedDecoder` memo cache that the BP-OSD and union-find factories
-//! wrap them in. This suite fuzzes that contract across random detector
-//! error models and shot counts straddling the 64-shot word boundary, and
-//! checks it on a toy DEM with hand-built shots of each class.
+//! bulk serving, then one scalar `decode` per distinct hard syndrome off the
+//! transposed matrix, repeats copying the first shot's prediction) must be
+//! bit-identical to the scalar `ObservableDecoder::decode` oracle for every
+//! decoder in the crate. This suite fuzzes that contract across random
+//! detector error models and shot counts straddling the 64-shot word
+//! boundary, and checks it on a toy DEM with hand-built shots of each class.
 
 use asynd_circuit::{DemError, DetectorErrorModel, ObservableDecoder};
-use asynd_decode::{BpOsdDecoder, CachedDecoder, MwpmDecoder, UnionFindDecoder};
+use asynd_decode::{BpOsdDecoder, MwpmDecoder, UnionFindDecoder};
 use asynd_sim::{BatchSampler, BatchShots, BitMatrix};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -93,34 +92,6 @@ proptest! {
         let decoder = BpOsdDecoder::new(&dem, 10, 0);
         assert_batch_matches_scalar(&decoder, &decoder, &dem, shots, shot_seed);
     }
-
-    #[test]
-    fn cached_batch_matches_scalar(nd in 1usize..12, no in 1usize..4, dem_seed in any::<u64>(),
-                                   shots in arb_shots(), shot_seed in any::<u64>()) {
-        // Each cached decoder is checked against a bare twin, so a cache
-        // that served a wrong prediction cannot agree with itself.
-        let dem = random_dem(nd, no, dem_seed);
-        let pairs: [(Box<dyn ObservableDecoder>, Box<dyn ObservableDecoder>); 3] = [
-            (
-                Box::new(CachedDecoder::new(MwpmDecoder::new(&dem))),
-                Box::new(MwpmDecoder::new(&dem)),
-            ),
-            (
-                Box::new(CachedDecoder::new(UnionFindDecoder::new(&dem))),
-                Box::new(UnionFindDecoder::new(&dem)),
-            ),
-            (
-                Box::new(CachedDecoder::new(BpOsdDecoder::new(&dem, 10, 0))),
-                Box::new(BpOsdDecoder::new(&dem, 10, 0)),
-            ),
-        ];
-        for (cached, bare) in &pairs {
-            assert_batch_matches_scalar(cached.as_ref(), bare.as_ref(), &dem, shots, shot_seed);
-            // A second pass over the same batch is served from a warm cache
-            // and must still agree.
-            assert_batch_matches_scalar(cached.as_ref(), bare.as_ref(), &dem, shots, shot_seed);
-        }
-    }
 }
 
 /// A three-detector, two-observable DEM for the hand-built checks below.
@@ -148,7 +119,6 @@ fn batch_decoding_matches_scalar_decoding() {
         Box::new(MwpmDecoder::new(&dem)),
         Box::new(UnionFindDecoder::new(&dem)),
         Box::new(BpOsdDecoder::new(&dem, 10, 0)),
-        Box::new(CachedDecoder::new(UnionFindDecoder::new(&dem))),
     ];
     for decoder in &decoders {
         let predictions = decoder.decode_batch(&batch);
@@ -179,20 +149,4 @@ fn all_shot_classes_route_correctly() {
         assert_eq!(predictions.column(s), decoder.decode(&batch.shot_detectors(s)), "shot {s}");
     }
     assert!(!predictions.column(0).any(), "quiet shot must predict nothing");
-}
-
-#[test]
-fn cached_decoder_is_batch_capable() {
-    let dem = toy_dem();
-    let cached = CachedDecoder::new(MwpmDecoder::new(&dem));
-    let model = dem.to_frame_model();
-    let sampler = BatchSampler::new(&model);
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
-    let batch = sampler.sample(100, &mut rng);
-    let predictions = ObservableDecoder::decode_batch(&cached, &batch);
-    assert_eq!(predictions.cols(), 100);
-    for s in 0..100 {
-        let scalar = ObservableDecoder::decode(&cached, &batch.shot_detectors(s));
-        assert_eq!(predictions.column(s), scalar, "shot {s}");
-    }
 }
